@@ -13,17 +13,14 @@ no state can do that; seeing it means a bug or a broken tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from .bloch import rank_of_family
-from .core import Bipartition, DensityMatrix, TripartiteState, partial_trace
+from .core import Bipartition, DensityMatrix, TripartiteState, _eigvalsh, partial_transpose
 from .families import SEP_FAMILY_BLOCKS
-from .measures import (
-    conditional_entropy,
-    hashing_witness,
-    is_ppt,
-    mutual_information,
-    negativity_witness,
-)
+from .measures import _marginal_entropy, conditional_entropy, is_ppt, von_neumann_entropy
 
 __all__ = [
     "PERFECT",
@@ -82,15 +79,80 @@ class ClassificationReport:
     consistent: bool = True
 
 
+class _Spectra(NamedTuple):
+    """What the criteria read off the spectra of ABC, A, BC, C, AC and the AB:C
+    partial transpose, each computed once per state."""
+
+    conditional_entropy: float
+    hashing_a_bc: float
+    log_negativity_ab_c: float
+    min_pt_eigenvalue: float
+    fidelity_lower_bound: float
+
+
+def _spectra(state: TripartiteState) -> _Spectra:
+    rho = state.state
+    a, b, c = state.a_indices, state.b_indices, state.c_indices
+    s_abc = von_neumann_entropy(rho)
+    s_bc = _marginal_entropy(rho, b + c)
+    s_c = _marginal_entropy(rho, c)
+    pt = _eigvalsh(partial_transpose(rho, state.cut_ab_c()))
+    # I(A:C) - I(A:BC), in which S(A) cancels
+    mi_drop = s_c - _marginal_entropy(rho, a + c) - s_bc + s_abc
+    return _Spectra(
+        conditional_entropy=s_bc - s_c,
+        hashing_a_bc=max(_marginal_entropy(rho, a) - s_abc, s_bc - s_abc),
+        log_negativity_ab_c=max(0.0, float(np.log2(np.sum(np.abs(pt))))),
+        min_pt_eigenvalue=float(pt[0]),
+        fidelity_lower_bound=float(2.0 ** (0.5 * mi_drop)),
+    )
+
+
+def _vanishing_ppt(sp: _Spectra, tol: float) -> bool | None:
+    if tol < 0:
+        raise ValueError("tol must be non-negative")
+    if not sp.min_pt_eigenvalue >= -tol:
+        return False
+    return True if sp.hashing_a_bc > tol else None
+
+
+# The criteria decided by the spectra alone, in report order:
+# name -> (condition, rule), where rule(spectra, tol) gives (holds, witness).
+_SPECTRAL_CRITERIA = {
+    "perfect_merge_sufficient": (
+        "S(BC) - S(C) <= tol",
+        lambda sp, tol: (bool(sp.conditional_entropy <= tol), sp.conditional_entropy),
+    ),
+    "vanishing_ppt_merge": (
+        "PPT across AB:C and hashing witness across A:BC > tol",
+        lambda sp, tol: (_vanishing_ppt(sp, tol), sp.hashing_a_bc),
+    ),
+    "vanishing_locc_merge": (
+        "hashing witness across A:BC > tol and log-negativity across AB:C <= tol",
+        lambda sp, tol: (
+            True if sp.hashing_a_bc > tol and sp.log_negativity_ab_c <= tol else None,
+            sp.hashing_a_bc,
+        ),
+    ),
+    "necessary_entanglement_budget": (
+        "violated when hashing(A:BC) exceeds log-negativity(AB:C) + tol",
+        lambda sp, tol: (
+            False if sp.hashing_a_bc - sp.log_negativity_ab_c > tol else None,
+            sp.hashing_a_bc - sp.log_negativity_ab_c,
+        ),
+    ),
+}
+
+
+def _criterion(name: str, sp: _Spectra, tol: float) -> CriterionResult:
+    condition, rule = _SPECTRAL_CRITERIA[name]
+    holds, witness = rule(sp, tol)
+    return CriterionResult(name=name, holds=holds, witness=witness, condition=condition)
+
+
 def check_perfect_sufficient(state: TripartiteState, tol: float = DEFAULT_TOL) -> CriterionResult:
     """Merging succeeds perfectly when S(BC) - S(C) is non-positive."""
-    ce = conditional_entropy(state)
-    return CriterionResult(
-        name="perfect_merge_sufficient",
-        holds=bool(ce <= tol),
-        witness=ce,
-        condition="S(BC) - S(C) <= tol",
-    )
+    return _criterion("perfect_merge_sufficient", _spectra(state), tol)
 
 
 def check_vanishing_ppt_merge(state: TripartiteState, tol: float = DEFAULT_TOL) -> CriterionResult:
@@ -100,20 +162,7 @@ def check_vanishing_ppt_merge(state: TripartiteState, tol: float = DEFAULT_TOL) 
     across A:BC.  If the AB:C side is PPT but the distillability witness
     does not fire, the answer is unknown, not false.
     """
-    ppt = is_ppt(state.state, state.cut_ab_c(), tol)
-    h = hashing_witness(state.state, state.cut_a_bc()).value
-    if not ppt:
-        holds = False
-    elif h > tol:
-        holds = True
-    else:
-        holds = None
-    return CriterionResult(
-        name="vanishing_ppt_merge",
-        holds=holds,
-        witness=h,
-        condition="PPT across AB:C and hashing witness across A:BC > tol",
-    )
+    return _criterion("vanishing_ppt_merge", _spectra(state), tol)
 
 
 def check_vanishing_locc_merge(state: TripartiteState, tol: float = DEFAULT_TOL) -> CriterionResult:
@@ -123,15 +172,7 @@ def check_vanishing_locc_merge(state: TripartiteState, tol: float = DEFAULT_TOL)
     log-negativity across AB:C vanishes.  Anything else is unknown: a
     positive log-negativity does not certify that merging succeeds.
     """
-    h = hashing_witness(state.state, state.cut_a_bc()).value
-    neg = negativity_witness(state.state, state.cut_ab_c()).value
-    holds = True if (h > tol and neg <= tol) else None
-    return CriterionResult(
-        name="vanishing_locc_merge",
-        holds=holds,
-        witness=h,
-        condition="hashing witness across A:BC > tol and log-negativity across AB:C <= tol",
-    )
+    return _criterion("vanishing_locc_merge", _spectra(state), tol)
 
 
 def check_necessary_ppt(state: TripartiteState, tol: float = DEFAULT_TOL) -> CriterionResult:
@@ -143,15 +184,7 @@ def check_necessary_ppt(state: TripartiteState, tol: float = DEFAULT_TOL) -> Cri
     is violated and ``holds`` is False (perfect merging impossible).  The
     witnesses cannot certify the condition itself, so it is never True.
     """
-    h = hashing_witness(state.state, state.cut_a_bc()).value
-    neg = negativity_witness(state.state, state.cut_ab_c()).value
-    margin = h - neg
-    return CriterionResult(
-        name="necessary_entanglement_budget",
-        holds=False if margin > tol else None,
-        witness=margin,
-        condition="violated when hashing(A:BC) exceeds log-negativity(AB:C) + tol",
-    )
+    return _criterion("necessary_entanglement_budget", _spectra(state), tol)
 
 
 def check_sep_family_obstruction(state: TripartiteState, tol: float = DEFAULT_TOL) -> CriterionResult:
@@ -212,15 +245,6 @@ def check_sep_family_obstruction(state: TripartiteState, tol: float = DEFAULT_TO
     )
 
 
-def _mutual_information_between(
-    state: TripartiteState, group1: tuple[int, ...], group2: tuple[int, ...]
-) -> float:
-    keep = sorted(group1 + group2)
-    reduced = partial_trace(state.state, keep)
-    left = tuple(keep.index(i) for i in group1)
-    return mutual_information(reduced, Bipartition.of(left, len(keep)))
-
-
 def fidelity_lower_bound(state: TripartiteState) -> float:
     """Fidelity achievable by handing C the correlations it already holds.
 
@@ -228,11 +252,7 @@ def fidelity_lower_bound(state: TripartiteState) -> float:
     mutual information with A, so the value lies in (0, 1], reaching 1
     exactly when B carries nothing about A that C lacks.
     """
-    i_ac = _mutual_information_between(state, state.a_indices, state.c_indices)
-    i_abc = _mutual_information_between(
-        state, state.a_indices, state.b_indices + state.c_indices
-    )
-    return float(2.0 ** (0.5 * (i_ac - i_abc)))
+    return _spectra(state).fidelity_lower_bound
 
 
 def merging_cost_pure(state: TripartiteState, atol: float = DEFAULT_TOL) -> float:
@@ -254,10 +274,10 @@ def classify(state: TripartiteState, tol: float = DEFAULT_TOL) -> Classification
     Raises :class:`InconsistentCriteriaError` when the perfect and
     vanishing criteria both certify, which no state can do.
     """
-    perfect = check_perfect_sufficient(state, tol)
-    vanishing_ppt = check_vanishing_ppt_merge(state, tol)
-    vanishing_locc = check_vanishing_locc_merge(state, tol)
-    necessary = check_necessary_ppt(state, tol)
+    sp = _spectra(state)
+    perfect, vanishing_ppt, vanishing_locc, necessary = (
+        _criterion(name, sp, tol) for name in _SPECTRAL_CRITERIA
+    )
     obstruction = check_sep_family_obstruction(state, tol)
 
     if perfect.holds and vanishing_ppt.holds:
@@ -277,16 +297,14 @@ def classify(state: TripartiteState, tol: float = DEFAULT_TOL) -> Classification
         verdict = INCONCLUSIVE
 
     witnesses = {
-        "conditional_entropy": float(perfect.witness),
-        "hashing_a_bc": float(vanishing_ppt.witness),
-        "log_negativity_ab_c": float(
-            negativity_witness(state.state, state.cut_ab_c()).value
-        ),
+        "conditional_entropy": sp.conditional_entropy,
+        "hashing_a_bc": sp.hashing_a_bc,
+        "log_negativity_ab_c": sp.log_negativity_ab_c,
     }
     return ClassificationReport(
         verdict=verdict,
         criteria=(perfect, vanishing_ppt, vanishing_locc, necessary, obstruction),
         witnesses=witnesses,
-        fidelity_lower_bound=fidelity_lower_bound(state),
+        fidelity_lower_bound=sp.fidelity_lower_bound,
         consistent=True,
     )

@@ -12,7 +12,6 @@ import argparse
 import hashlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -213,21 +212,15 @@ def _report_payload(path: str, report, args) -> dict:
     }
 
 
-def _classify_one(path: str, tol: float):
-    state = load_state(path)
-    if not isinstance(state, TripartiteState):
-        raise ValueError(f"{path}: classification needs a state file with party labels")
-    return classify(state, tol)
-
-
 def _cmd_classify(args) -> int:
     if args.json is not None and len(args.states) != 1:
         raise ValueError("--json requires exactly one input file")
-    if args.jobs > 1 and len(args.states) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(lambda p: _classify_one(p, args.tol), args.states))
-    else:
-        reports = [_classify_one(p, args.tol) for p in args.states]
+    reports = []
+    for path in args.states:
+        state = load_state(path)
+        if not isinstance(state, TripartiteState):
+            raise ValueError(f"{path}: classification needs a state file with party labels")
+        reports.append(classify(state, args.tol))
     if len(args.states) == 1:
         print(reports[0].verdict)
     else:
@@ -340,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("states", nargs="+")
     p.add_argument("--tol", type=float, default=1e-9, help="witness and PPT tolerance")
     p.add_argument("--json", help="also write a full report to this path")
-    p.add_argument("--jobs", type=int, default=1, help="parallelism across input files")
     p.add_argument("--seed", type=int, default=None, help="echoed into the report")
     p.set_defaults(func=_cmd_classify)
 

@@ -55,6 +55,14 @@ def _as_complex_matrix(data) -> np.ndarray:
     return arr
 
 
+def _hermitian_part(M: np.ndarray, atol: float) -> np.ndarray:
+    """(M + M^dag) / 2, after checking that no entry of M - M^dag exceeds atol."""
+    dev = float(np.max(np.abs(M - M.conj().T)))
+    if dev > atol:
+        raise ValueError(f"matrix is not Hermitian: max |M - M^dag| = {dev:.3e}")
+    return 0.5 * (M + M.conj().T)
+
+
 def _check_dims(dims) -> tuple[int, ...]:
     out = tuple(int(d) for d in dims)
     if not out:
@@ -93,12 +101,7 @@ class DensityMatrix:
             raise ValueError(
                 f"matrix shape {arr.shape} does not match dims {dims} (D={D})"
             )
-        herm_dev = float(np.max(np.abs(arr - arr.conj().T)))
-        if herm_dev > _HERMITICITY_ATOL:
-            raise ValueError(
-                f"matrix is not Hermitian: max |M - M^dag| = {herm_dev:.3e}"
-            )
-        arr = 0.5 * (arr + arr.conj().T)
+        arr = _hermitian_part(arr, _HERMITICITY_ATOL)
         tr = float(np.trace(arr).real)
         if abs(tr - 1.0) > _TRACE_ATOL:
             raise ValueError(f"trace must be 1 within {_TRACE_ATOL:.0e}, got {tr!r}")
@@ -335,11 +338,7 @@ def eigh(matrix) -> tuple[np.ndarray, np.ndarray]:
     matrix to a relative residual of 1e-8 or a :class:`NumericError` is
     raised.
     """
-    M = _as_complex_matrix(matrix)
-    dev = float(np.max(np.abs(M - M.conj().T)))
-    if dev > _OP_HERMITICITY_ATOL:
-        raise ValueError(f"matrix is not Hermitian: max |M - M^dag| = {dev:.3e}")
-    M = 0.5 * (M + M.conj().T)
+    M = _hermitian_part(_as_complex_matrix(matrix), _OP_HERMITICITY_ATOL)
     try:
         w, V = np.linalg.eigh(M)
     except np.linalg.LinAlgError as exc:
@@ -360,11 +359,8 @@ def _eigvalsh(matrix: np.ndarray) -> np.ndarray:
 
 def trace_norm(matrix) -> float:
     """Sum of absolute eigenvalues of a Hermitian matrix."""
-    M = _as_complex_matrix(matrix)
-    dev = float(np.max(np.abs(M - M.conj().T)))
-    if dev > _OP_HERMITICITY_ATOL:
-        raise ValueError(f"matrix is not Hermitian: max |M - M^dag| = {dev:.3e}")
-    return float(np.sum(np.abs(_eigvalsh(M))))
+    M = _hermitian_part(_as_complex_matrix(matrix), _OP_HERMITICITY_ATOL)
+    return float(np.sum(np.abs(np.linalg.eigvalsh(M))))
 
 
 def matrix_sqrt(matrix) -> np.ndarray:
@@ -373,11 +369,8 @@ def matrix_sqrt(matrix) -> np.ndarray:
     Eigenvalues in ``[-1e-9, 0)`` are treated as zero; anything more
     negative is rejected.
     """
-    M = _as_complex_matrix(matrix)
-    dev = float(np.max(np.abs(M - M.conj().T)))
-    if dev > _OP_HERMITICITY_ATOL:
-        raise ValueError(f"matrix is not Hermitian: max |M - M^dag| = {dev:.3e}")
-    w, V = np.linalg.eigh(0.5 * (M + M.conj().T))
+    M = _hermitian_part(_as_complex_matrix(matrix), _OP_HERMITICITY_ATOL)
+    w, V = np.linalg.eigh(M)
     if w[0] < _EIG_FLOOR:
         raise ValueError(f"matrix is not positive semidefinite: min eigenvalue {w[0]:.3e}")
     w = np.sqrt(np.clip(w, 0.0, None))

@@ -8,6 +8,7 @@ the true quantity the number sits on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -16,7 +17,7 @@ from .core import (
     DensityMatrix,
     TripartiteState,
     _eigvalsh,
-    partial_trace,
+    _ptrace_array,
     partial_transpose,
 )
 
@@ -57,11 +58,17 @@ class WitnessValue:
             raise ValueError(f"unknown direction {self.direction!r}")
 
 
-def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """Entropy -sum(p log2 p) over eigenvalues above 1e-12."""
-    w = _eigvalsh(rho.data)
+def _marginal_entropy(rho: DensityMatrix, keep: Sequence[int]) -> float:
+    """Entropy of the marginal on ``keep``, built without DensityMatrix validation:
+    the marginal of a valid state is valid, and validating costs an extra eigh."""
+    w = _eigvalsh(_ptrace_array(rho.data, rho.dims, keep))
     w = w[w > _ENTROPY_EIG_CUTOFF]
     return float(-np.sum(w * np.log2(w)))
+
+
+def von_neumann_entropy(rho: DensityMatrix) -> float:
+    """Entropy -sum(p log2 p) over eigenvalues above 1e-12."""
+    return _marginal_entropy(rho, range(len(rho.dims)))
 
 
 def conditional_entropy(state: TripartiteState) -> float:
@@ -70,9 +77,8 @@ def conditional_entropy(state: TripartiteState) -> float:
     Non-positive values certify that party B can be merged into party C
     without spoiling correlations with A; see :mod:`pptmerge.classify`.
     """
-    rho_bc = partial_trace(state.state, state.b_indices + state.c_indices)
-    rho_c = partial_trace(state.state, state.c_indices)
-    return von_neumann_entropy(rho_bc) - von_neumann_entropy(rho_c)
+    s_bc = _marginal_entropy(state.state, state.b_indices + state.c_indices)
+    return s_bc - _marginal_entropy(state.state, state.c_indices)
 
 
 def mutual_information(rho: DensityMatrix, cut: Bipartition) -> float:
@@ -81,8 +87,8 @@ def mutual_information(rho: DensityMatrix, cut: Bipartition) -> float:
         raise ValueError(
             f"cut covers {cut.n_subsystems} subsystems but the state has {len(rho.dims)}"
         )
-    s_left = von_neumann_entropy(partial_trace(rho, cut.left))
-    s_right = von_neumann_entropy(partial_trace(rho, cut.right))
+    s_left = _marginal_entropy(rho, cut.left)
+    s_right = _marginal_entropy(rho, cut.right)
     return s_left + s_right - von_neumann_entropy(rho)
 
 
@@ -154,8 +160,8 @@ def hashing_witness(rho: DensityMatrix, cut: Bipartition) -> WitnessValue:
             f"cut covers {cut.n_subsystems} subsystems but the state has {len(rho.dims)}"
         )
     s_whole = von_neumann_entropy(rho)
-    s_left = von_neumann_entropy(partial_trace(rho, cut.left))
-    s_right = von_neumann_entropy(partial_trace(rho, cut.right))
+    s_left = _marginal_entropy(rho, cut.left)
+    s_right = _marginal_entropy(rho, cut.right)
     return WitnessValue(
         value=max(s_left - s_whole, s_right - s_whole),
         direction="lower_bound",

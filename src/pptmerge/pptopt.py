@@ -22,6 +22,8 @@ from .core import (
     DensityMatrix,
     PureState,
     SizeLimitError,
+    _OP_HERMITICITY_ATOL,
+    _hermitian_part,
     _pt_array,
 )
 
@@ -207,8 +209,7 @@ def project_ppt_state(
     D = int(np.prod(dims))
     if M.shape != (D, D):
         raise ValueError(f"matrix shape {M.shape} does not match dims {dims}")
-    if float(np.max(np.abs(M - M.conj().T))) > 1e-8:
-        raise ValueError("projection input must be Hermitian")
+    M = _hermitian_part(M, _OP_HERMITICITY_ATOL)
     x, _ = _dykstra(M, dims, cut.left, config.tol, config.max_iters)
     cert, _ = _finish_certificate(x, dims, cut.left, config.tol)
     return cert

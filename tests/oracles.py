@@ -63,6 +63,19 @@ def partial_trace_einsum(matrix, dims, keep):
     return reduced.reshape(kept, kept)
 
 
+def partial_transpose_einsum(matrix, dims, transpose):
+    """Partial transpose of the subsystems in ``transpose`` via einsum."""
+    n = len(dims)
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    rows, cols = list(letters[:n]), list(letters[n : 2 * n])
+    out_rows = [cols[i] if i in transpose else rows[i] for i in range(n)]
+    out_cols = [rows[i] if i in transpose else cols[i] for i in range(n)]
+    spec = "".join(rows + cols) + "->" + "".join(out_rows + out_cols)
+    tensor = np.asarray(matrix).reshape(*dims, *dims)
+    total = int(np.prod(dims))
+    return np.einsum(spec, tensor).reshape(total, total)
+
+
 def entropy_bits(eigenvalues):
     """Shannon entropy in bits of a cleaned spectrum."""
     p = np.asarray(eigenvalues, dtype=float)

@@ -40,6 +40,7 @@ from pptmerge.classify import (
     VERDICTS,
 )
 from helpers import haar_unitary, random_density, random_tripartite
+from oracles import entropy_bits, partial_trace_einsum, partial_transpose_einsum
 
 
 def _free_merge_state():
@@ -170,9 +171,66 @@ def test_verdicts_stable_under_small_perturbation():
 def test_consistency_guard_trips_on_contradiction(monkeypatch):
     state = robust_vanishing_family(0.05)
     assert classify(state).verdict == VANISHING
-    monkeypatch.setattr(classify_mod, "conditional_entropy", lambda s: -1.0)
+    spectra = classify_mod._spectra
+    monkeypatch.setattr(
+        classify_mod, "_spectra", lambda s: spectra(s)._replace(conditional_entropy=-1.0)
+    )
     with pytest.raises(InconsistentCriteriaError):
         classify_mod.classify(state)
+
+
+def test_classify_runs_six_eigendecompositions(monkeypatch):
+    # ABC, A, BC, C, AC and the AB:C partial transpose, each decomposed once
+    states = [ghz(), random_tripartite(np.random.default_rng(181), (2, 3, 4))]
+    calls = {"n": 0}
+
+    def counting(fn):
+        def wrapped(*args, **kwargs):
+            calls["n"] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh))
+    for state in states:
+        calls["n"] = 0
+        classify(state)
+        assert calls["n"] == 6
+
+
+def _oracle_report_numbers(state):
+    rho, dims = state.state.data, state.dims
+    a, b, c = state.a_indices, state.b_indices, state.c_indices
+
+    def s(keep):
+        return entropy_bits(np.linalg.eigvalsh(partial_trace_einsum(rho, dims, sorted(keep))))
+
+    pt = np.linalg.eigvalsh(partial_transpose_einsum(rho, dims, a + b))
+    i_ac = s(a) + s(c) - s(a + c)
+    i_abc = s(a) + s(b + c) - s(a + b + c)
+    return (
+        s(b + c) - s(c),
+        max(s(a), s(b + c)) - s(a + b + c),
+        max(0.0, float(np.log2(np.abs(pt).sum()))),
+        2.0 ** ((i_ac - i_abc) / 2),
+    )
+
+
+def test_witnesses_match_oracle_on_permuted_party_layouts():
+    rng = np.random.default_rng(191)
+    layouts = [((2, 2, 2, 2), (0, 3), (2,), (1,)), ((3, 2, 2), (2,), (0,), (1,))]
+    for dims, a, b, c in layouts:
+        for rank in (None, 2, 1):
+            state = TripartiteState(random_density(rng, dims, rank=rank), a, b, c)
+            report = classify(state)
+            got = (
+                report.witnesses["conditional_entropy"],
+                report.witnesses["hashing_a_bc"],
+                report.witnesses["log_negativity_ab_c"],
+                report.fidelity_lower_bound,
+            )
+            np.testing.assert_allclose(got, _oracle_report_numbers(state), rtol=0, atol=1e-12)
 
 
 def test_fidelity_lower_bound_range_and_values():

@@ -143,7 +143,7 @@ def test_classify_single_and_multi(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines == [f"{ghz}\tPERFECT", f"{sep}\tNO_PERFECT_MERGE"]
 
-    assert main(["classify", str(ghz), str(sep), str(robust), "--jobs", "3"]) == 0
+    assert main(["classify", str(ghz), str(sep), str(robust)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [l.split("\t")[1] for l in lines] == [
         "PERFECT",
@@ -217,7 +217,10 @@ def test_classify_consistency_exit_code(tmp_path, monkeypatch, capsys):
     robust = _generate(tmp_path, "robust-vanishing")
     capsys.readouterr()
     classify_mod = importlib.import_module("pptmerge.classify")
-    monkeypatch.setattr(classify_mod, "conditional_entropy", lambda s: -1.0)
+    spectra = classify_mod._spectra
+    monkeypatch.setattr(
+        classify_mod, "_spectra", lambda s: spectra(s)._replace(conditional_entropy=-1.0)
+    )
     assert main(["classify", str(robust)]) == 4
     capsys.readouterr()
 

@@ -221,12 +221,9 @@ def check_sep_family_obstruction(state: TripartiteState, tol: float = DEFAULT_TO
     order = list(state.a_indices) + list(b) + list(c)
     perm = order + [n + i for i in order]
     arr = state.state.data.reshape(dims + dims).transpose(perm).reshape(da, 4, da, 4)
-    off_diag = 0.0
-    for i in range(da):
-        for j in range(da):
-            if i != j:
-                off_diag = max(off_diag, float(abs(arr[i, :, j, :]).max()))
-    if off_diag > tol:
+    block_max = np.abs(arr).max(axis=(1, 3))
+    np.fill_diagonal(block_max, 0.0)
+    if float(block_max.max()) > tol:
         return fail()
 
     weights = [float(arr[i, :, i, :].trace().real) for i in range(da)]

@@ -45,18 +45,8 @@ from .measures import (
     negativity_witness,
     von_neumann_entropy,
 )
-from .pptopt import PptOptConfig, geometric_distillability_ppt, max_overlap_ppt
+from .pptopt import PptOptConfig, _as_pure, geometric_distillability_ppt, max_overlap_ppt
 from .stateio import dumps_state, load_state
-
-_MEASURES = (
-    "entropy",
-    "conditional-entropy",
-    "mutual-information",
-    "log-negativity",
-    "hashing-witness",
-    "negativity-witness",
-    "is-ppt",
-)
 
 
 def _fmt(value: float) -> str:
@@ -109,15 +99,41 @@ def _density_of(state) -> DensityMatrix:
     return state
 
 
-def _pure_of(state) -> PureState:
-    if isinstance(state, PureState):
-        return state
-    rho = _density_of(state)
-    if not rho.is_pure():
-        raise ValueError(f"expected a pure state, got purity {rho.purity():.6f}")
-    _, V = np.linalg.eigh(rho.data)
-    vec = V[:, -1]
-    return PureState(rho.dims, vec / np.linalg.norm(vec))
+def _conditional_entropy(state) -> float:
+    if not isinstance(state, TripartiteState):
+        raise ValueError("conditional-entropy needs a state file with party labels")
+    return conditional_entropy(state)
+
+
+# The tables behind `generate` and `measure`; their keys are the argparse
+# choices.  Entries look names up when called, so a patched module attribute
+# reaches them.
+
+# family -> builder(args)
+_FAMILIES = {
+    "phi-plus": lambda args: phi_plus(),
+    "ghz": lambda args: ghz(),
+    "classical-correlated": lambda args: classical_correlated(),
+    "product-pure": lambda args: product_pure((1, 0), (1, 0), (1, 0)),
+    "product-example": lambda args: product_example(
+        phi_plus() if args.psi == "phi-plus" else PureState((2, 2), np.eye(4)[0])
+    ),
+    "sep-no-merge": lambda args: sep_no_merge_family(args.seed),
+    "robust-vanishing": lambda args: robust_vanishing_family(args.p),
+}
+
+# measure -> (needs --cut, evaluator(state, rho, cut, tol) -> stdout line)
+_MEASURES = {
+    "entropy": (False, lambda s, rho, cut, tol: _fmt(von_neumann_entropy(rho))),
+    "conditional-entropy": (False, lambda s, rho, cut, tol: _fmt(_conditional_entropy(s))),
+    "mutual-information": (True, lambda s, rho, cut, tol: _fmt(mutual_information(rho, cut))),
+    "log-negativity": (True, lambda s, rho, cut, tol: _fmt(log_negativity(rho, cut))),
+    "hashing-witness": (True, lambda s, rho, cut, tol: _fmt(hashing_witness(rho, cut).value)),
+    "negativity-witness": (
+        True, lambda s, rho, cut, tol: _fmt(negativity_witness(rho, cut).value)
+    ),
+    "is-ppt": (True, lambda s, rho, cut, tol: "true" if is_ppt(rho, cut, tol) else "false"),
+}
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -128,55 +144,19 @@ def _write_output(text: str, out: str | None) -> None:
 
 
 def _cmd_generate(args) -> int:
-    if args.family == "phi-plus":
-        state = phi_plus()
-    elif args.family == "ghz":
-        state = ghz()
-    elif args.family == "classical-correlated":
-        state = classical_correlated()
-    elif args.family == "product-pure":
-        state = product_pure((1, 0), (1, 0), (1, 0))
-    elif args.family == "product-example":
-        if args.psi == "phi-plus":
-            state = product_example(phi_plus())
-        else:
-            vec = np.zeros(4)
-            vec[0] = 1.0
-            state = product_example(PureState((2, 2), vec))
-    elif args.family == "sep-no-merge":
-        state = sep_no_merge_family(args.seed)
-    else:  # robust-vanishing; argparse rejects anything else
-        state = robust_vanishing_family(args.p)
-    _write_output(dumps_state(state), args.out)
+    _write_output(dumps_state(_FAMILIES[args.family](args)), args.out)
     return 0
 
 
 def _cmd_measure(args) -> int:
     state = load_state(args.state)
-    rho = _density_of(state)
-
-    if args.measure == "conditional-entropy":
-        if not isinstance(state, TripartiteState):
-            raise ValueError("conditional-entropy needs a state file with party labels")
-        print(_fmt(conditional_entropy(state)))
-        return 0
-    if args.measure == "entropy":
-        print(_fmt(von_neumann_entropy(rho)))
-        return 0
-
-    if args.cut is None:
-        raise ValueError(f"measure {args.measure!r} requires --cut")
-    cut = _parse_cut(args.cut, state)
-    if args.measure == "mutual-information":
-        print(_fmt(mutual_information(rho, cut)))
-    elif args.measure == "log-negativity":
-        print(_fmt(log_negativity(rho, cut)))
-    elif args.measure == "hashing-witness":
-        print(_fmt(hashing_witness(rho, cut).value))
-    elif args.measure == "negativity-witness":
-        print(_fmt(negativity_witness(rho, cut).value))
-    else:  # is-ppt
-        print("true" if is_ppt(rho, cut, args.tol) else "false")
+    needs_cut, evaluate = _MEASURES[args.measure]
+    cut = None
+    if needs_cut:
+        if args.cut is None:
+            raise ValueError(f"measure {args.measure!r} requires --cut")
+        cut = _parse_cut(args.cut, state)
+    print(evaluate(state, _density_of(state), cut, args.tol))
     return 0
 
 
@@ -233,12 +213,11 @@ def _cmd_classify(args) -> int:
 
 
 def _opt_config(args) -> PptOptConfig:
-    return PptOptConfig(
-        max_iters=args.max_iters,
-        tol=args.tol,
-        step_rule=args.step_rule,
-        bisection_depth=args.bisection_depth,
-    )
+    return PptOptConfig(max_iters=args.max_iters, tol=args.tol)
+
+
+def _opt_target(state) -> PureState | DensityMatrix:
+    return state.state if isinstance(state, TripartiteState) else state
 
 
 def _opt_cut(args, state) -> Bipartition:
@@ -260,8 +239,7 @@ def _print_diagnostics(result) -> None:
 def _cmd_geodist(args) -> int:
     state = load_state(args.state)
     cut = _opt_cut(args, state)
-    target = state.state if isinstance(state, TripartiteState) else state
-    result = geometric_distillability_ppt(target, cut, _opt_config(args))
+    result = geometric_distillability_ppt(_opt_target(state), cut, _opt_config(args))
     if result.low == result.high:
         print(_fmt(result.low))
     else:
@@ -273,7 +251,10 @@ def _cmd_geodist(args) -> int:
 def _cmd_overlap(args) -> int:
     state = load_state(args.state)
     cut = _opt_cut(args, state)
-    psi = _pure_of(state)
+    target = _opt_target(state)
+    psi = _as_pure(target)
+    if psi is None:
+        raise ValueError(f"expected a pure state, got purity {target.purity():.6f}")
     result = max_overlap_ppt(psi, cut, _opt_config(args))
     print(_fmt(result.value))
     _print_diagnostics(result)
@@ -284,10 +265,6 @@ def _add_opt_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cut", help="bipartition, e.g. AB:C or 0,1:2")
     parser.add_argument("--tol", type=float, default=1e-7, help="optimiser tolerance")
     parser.add_argument("--max-iters", type=int, default=5000, help="sweep budget")
-    parser.add_argument(
-        "--step-rule", choices=("fixed", "diminishing"), default="fixed"
-    )
-    parser.add_argument("--bisection-depth", type=int, default=40)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -299,18 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="write a named state family to JSON")
-    p.add_argument(
-        "family",
-        choices=(
-            "phi-plus",
-            "ghz",
-            "classical-correlated",
-            "product-pure",
-            "product-example",
-            "sep-no-merge",
-            "robust-vanishing",
-        ),
-    )
+    p.add_argument("family", choices=tuple(_FAMILIES))
     p.add_argument("--seed", type=int, default=0, help="seed for randomised families")
     p.add_argument("--p", type=float, default=0.1, help="noise weight for robust-vanishing")
     p.add_argument(
@@ -324,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("measure", help="evaluate one measure of a state file")
     p.add_argument("state")
-    p.add_argument("measure", choices=_MEASURES)
+    p.add_argument("measure", choices=tuple(_MEASURES))
     p.add_argument("--cut", help="bipartition, e.g. AB:C or 0,1:2")
     p.add_argument("--tol", type=float, default=1e-9, help="PPT tolerance")
     p.set_defaults(func=_cmd_measure)

@@ -55,12 +55,17 @@ def _as_complex_matrix(data) -> np.ndarray:
     return arr
 
 
+def _herm(M: np.ndarray) -> np.ndarray:
+    """(M + M^dag) / 2, with no check of how far M is from Hermitian."""
+    return 0.5 * (M + M.conj().T)
+
+
 def _hermitian_part(M: np.ndarray, atol: float) -> np.ndarray:
     """(M + M^dag) / 2, after checking that no entry of M - M^dag exceeds atol."""
     dev = float(np.max(np.abs(M - M.conj().T)))
     if dev > atol:
         raise ValueError(f"matrix is not Hermitian: max |M - M^dag| = {dev:.3e}")
-    return 0.5 * (M + M.conj().T)
+    return _herm(M)
 
 
 def _check_dims(dims) -> tuple[int, ...]:
@@ -112,8 +117,7 @@ class DensityMatrix:
             )
         if w[0] < 0.0:
             w = np.clip(w, 0.0, None)
-            arr = (V * w) @ V.conj().T
-            arr = 0.5 * (arr + arr.conj().T)
+            arr = _herm((V * w) @ V.conj().T)
             arr /= np.trace(arr).real
         arr.flags.writeable = False
         object.__setattr__(self, "dims", dims)
@@ -201,6 +205,12 @@ class Bipartition:
     @property
     def n_subsystems(self) -> int:
         return len(self.left) + len(self.right)
+
+
+def _check_cut(cut: Bipartition, n: int) -> None:
+    """Reject a cut that does not cover exactly the state's ``n`` subsystems."""
+    if cut.n_subsystems != n:
+        raise ValueError(f"cut covers {cut.n_subsystems} subsystems but the state has {n}")
 
 
 @dataclass(frozen=True)
@@ -322,10 +332,7 @@ def partial_transpose(rho: DensityMatrix, cut: Bipartition) -> np.ndarray:
     its spectrum carries the entanglement information across the cut.
     Applying the same partial transpose twice gives back ``rho.data``.
     """
-    if cut.n_subsystems != len(rho.dims):
-        raise ValueError(
-            f"cut covers {cut.n_subsystems} subsystems but the state has {len(rho.dims)}"
-        )
+    _check_cut(cut, len(rho.dims))
     return _pt_array(rho.data, rho.dims, cut.left)
 
 
@@ -354,7 +361,7 @@ def eigh(matrix) -> tuple[np.ndarray, np.ndarray]:
 
 def _eigvalsh(matrix: np.ndarray) -> np.ndarray:
     """Eigenvalues of a matrix assumed Hermitian; no contract checks."""
-    return np.linalg.eigvalsh(0.5 * (matrix + matrix.conj().T))
+    return np.linalg.eigvalsh(_herm(matrix))
 
 
 def trace_norm(matrix) -> float:

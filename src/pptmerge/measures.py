@@ -16,7 +16,9 @@ from .core import (
     Bipartition,
     DensityMatrix,
     TripartiteState,
+    _check_cut,
     _eigvalsh,
+    _herm,
     _ptrace_array,
     partial_transpose,
 )
@@ -83,10 +85,7 @@ def conditional_entropy(state: TripartiteState) -> float:
 
 def mutual_information(rho: DensityMatrix, cut: Bipartition) -> float:
     """S(left) + S(right) - S(whole) across ``cut``, in bits."""
-    if cut.n_subsystems != len(rho.dims):
-        raise ValueError(
-            f"cut covers {cut.n_subsystems} subsystems but the state has {len(rho.dims)}"
-        )
+    _check_cut(cut, len(rho.dims))
     s_left = _marginal_entropy(rho, cut.left)
     s_right = _marginal_entropy(rho, cut.right)
     return s_left + s_right - von_neumann_entropy(rho)
@@ -98,7 +97,7 @@ def _rank_factor(matrix: np.ndarray) -> np.ndarray:
     Truncation matters: carrying null-space eigenvalues of size eps through
     a square root would inject sqrt(eps)-sized noise into the fidelity.
     """
-    w, V = np.linalg.eigh(0.5 * (matrix + matrix.conj().T))
+    w, V = np.linalg.eigh(_herm(matrix))
     keep = w > 1e-14
     return V[:, keep] * np.sqrt(w[keep])
 
@@ -155,10 +154,7 @@ def hashing_witness(rho: DensityMatrix, cut: Bipartition) -> WitnessValue:
     proves the state is distillable across the cut; a non-positive value
     proves nothing.
     """
-    if cut.n_subsystems != len(rho.dims):
-        raise ValueError(
-            f"cut covers {cut.n_subsystems} subsystems but the state has {len(rho.dims)}"
-        )
+    _check_cut(cut, len(rho.dims))
     s_whole = von_neumann_entropy(rho)
     s_left = _marginal_entropy(rho, cut.left)
     s_right = _marginal_entropy(rho, cut.right)

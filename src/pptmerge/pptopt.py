@@ -23,6 +23,8 @@ from .core import (
     PureState,
     SizeLimitError,
     _OP_HERMITICITY_ATOL,
+    _check_cut,
+    _herm,
     _hermitian_part,
     _pt_array,
 )
@@ -43,6 +45,8 @@ OPT_DIMENSION_CAP = 64
 # Consecutive accepted steps with gain below tol before ascent stops.
 _STALL_LIMIT = 5
 _MIN_STEP = 1e-8
+# Most level-set bisection steps after the ascent stalls.
+_BISECTION_DEPTH = 40
 
 
 @dataclass
@@ -50,27 +54,18 @@ class PptOptConfig:
     """Knobs shared by the optimisers.
 
     ``max_iters`` caps the total number of Dykstra sweeps a call may spend,
-    summed over every inner projection.  ``step_rule`` selects the nominal
-    step schedule: ``"fixed"`` keeps it constant (with backtracking),
-    ``"diminishing"`` decays it as 1/sqrt(k).  ``cut`` is a fallback used
-    when the caller does not pass one explicitly.
+    summed over every inner projection; ``tol`` is the stopping and
+    feasibility tolerance.
     """
 
     max_iters: int = 5000
     tol: float = 1e-7
-    step_rule: str = "fixed"
-    bisection_depth: int = 40
-    cut: Bipartition | None = None
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
-        if self.step_rule not in ("fixed", "diminishing"):
-            raise ValueError(f"unknown step_rule {self.step_rule!r}")
-        if self.bisection_depth < 0:
-            raise ValueError("bisection_depth must be non-negative")
 
 
 @dataclass
@@ -105,8 +100,11 @@ class GeoDistResult:
     detail: PptOptResult
 
 
-def _herm(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M + M.conj().T)
+def _check_opt_dim(dim: int) -> None:
+    if dim > OPT_DIMENSION_CAP:
+        raise SizeLimitError(
+            f"dimension {dim} exceeds the optimiser cap {OPT_DIMENSION_CAP}"
+        )
 
 
 def _proj_psd(M: np.ndarray) -> np.ndarray:
@@ -184,27 +182,16 @@ def _finish_certificate(
     return cert, residuals
 
 
-def _resolve_cut(cut: Bipartition | None, config: PptOptConfig, n: int) -> Bipartition:
-    cut = cut if cut is not None else config.cut
-    if cut is None:
-        raise ValueError("a cut must be given either directly or via the config")
-    if cut.n_subsystems != n:
-        raise ValueError(
-            f"cut covers {cut.n_subsystems} subsystems but the state has {n}"
-        )
-    return cut
-
-
 def project_ppt_state(
     matrix,
     dims: Sequence[int],
-    cut: Bipartition | None = None,
+    cut: Bipartition,
     config: PptOptConfig | None = None,
 ) -> DensityMatrix:
     """Nearest state of F(cut) to a Hermitian matrix, in Frobenius norm."""
     config = config or PptOptConfig()
     dims = tuple(int(d) for d in dims)
-    cut = _resolve_cut(cut, config, len(dims))
+    _check_cut(cut, len(dims))
     M = np.asarray(matrix, dtype=complex)
     D = int(np.prod(dims))
     if M.shape != (D, D):
@@ -260,7 +247,7 @@ def _feasible_at_level(
 
 def max_overlap_ppt(
     psi: PureState,
-    cut: Bipartition | None = None,
+    cut: Bipartition,
     config: PptOptConfig | None = None,
 ) -> PptOptResult:
     """Maximise <psi|sigma|psi> over sigma in F(cut).
@@ -273,12 +260,9 @@ def max_overlap_ppt(
     converged flag.
     """
     config = config or PptOptConfig()
-    if psi.dim > OPT_DIMENSION_CAP:
-        raise SizeLimitError(
-            f"dimension {psi.dim} exceeds the optimiser cap {OPT_DIMENSION_CAP}"
-        )
+    _check_opt_dim(psi.dim)
     dims = psi.dims
-    cut = _resolve_cut(cut, config, len(dims))
+    _check_cut(cut, len(dims))
     D = psi.dim
     P = np.outer(psi.amplitudes, psi.amplitudes.conj())
     budget = config.max_iters
@@ -291,16 +275,12 @@ def max_overlap_ppt(
     alpha = nominal
     stall = 0
     exhausted = False
-    k = 0
     while True:
         if used >= budget:
             exhausted = True
             break
         if stall >= _STALL_LIMIT or alpha < _MIN_STEP:
             break
-        k += 1
-        if config.step_rule == "diminishing":
-            alpha = min(alpha, nominal / np.sqrt(k))
         cand, sweeps = _dykstra(
             x + alpha * P, dims, cut.left, config.tol, min(500, budget - used)
         )
@@ -311,15 +291,14 @@ def max_overlap_ppt(
             x = cand
             f = max(f, fc)
             history.append(fc)
-            if config.step_rule == "fixed":
-                alpha = nominal
+            alpha = nominal
         else:
             alpha *= 0.5
 
     # Level-set bisection: first probe slightly above the stall value to
     # certify optimality cheaply; only bisect further if the probe passes.
     converged = False
-    if not exhausted and config.bisection_depth > 0:
+    if not exhausted:
         lo, hi = f, 1.0
         probe = min(lo + max(100.0 * config.tol, 1e-4), hi)
         feasible, point, spent = _feasible_at_level(
@@ -332,7 +311,7 @@ def max_overlap_ppt(
             x, f = point, _overlap(P, point)
             history.append(f)
             lo = f
-            for _ in range(config.bisection_depth):
+            for _ in range(_BISECTION_DEPTH):
                 if hi - lo <= max(config.tol, 1e-5) or used >= budget:
                     break
                 mid = 0.5 * (lo + hi)
@@ -364,7 +343,7 @@ def max_overlap_ppt(
 
 def min_trace_distance_ppt(
     rho: DensityMatrix,
-    cut: Bipartition | None = None,
+    cut: Bipartition,
     config: PptOptConfig | None = None,
 ) -> PptOptResult:
     """Minimise the trace distance from ``rho`` to F(cut).
@@ -375,12 +354,9 @@ def min_trace_distance_ppt(
     solver's; expect about 1e-3 at the default budget.
     """
     config = config or PptOptConfig()
-    if rho.dim > OPT_DIMENSION_CAP:
-        raise SizeLimitError(
-            f"dimension {rho.dim} exceeds the optimiser cap {OPT_DIMENSION_CAP}"
-        )
+    _check_opt_dim(rho.dim)
     dims = rho.dims
-    cut = _resolve_cut(cut, config, len(dims))
+    _check_cut(cut, len(dims))
     budget = config.max_iters
 
     def tdist(x: np.ndarray) -> float:
@@ -390,15 +366,12 @@ def min_trace_distance_ppt(
     best = tdist(x)
     best_x = x
     history = [best]
-    nominal = max(0.05, 0.5 * best)
-    k = 0
+    alpha = max(0.05, 0.5 * best)
     stale = 0
     converged = False
     while used < budget:
-        k += 1
         w, V = np.linalg.eigh(_herm(rho.data - x))
         subgrad = (V * np.sign(w)) @ V.conj().T
-        alpha = nominal if config.step_rule == "fixed" else nominal / np.sqrt(k)
         x, sweeps = _dykstra(
             x + 0.5 * alpha * subgrad, dims, cut.left, config.tol, min(200, budget - used)
         )
@@ -430,18 +403,19 @@ def min_trace_distance_ppt(
 
 
 def _as_pure(state: PureState | DensityMatrix) -> PureState | None:
+    """The state's top eigenvector if its purity is within 1e-9 of 1, else None."""
     if isinstance(state, PureState):
         return state
-    if state.purity() >= 1.0 - 1e-9:
-        w, V = np.linalg.eigh(state.data)
-        vec = V[:, -1]
-        return PureState(state.dims, vec / np.linalg.norm(vec))
-    return None
+    if not state.is_pure():
+        return None
+    _, V = np.linalg.eigh(state.data)
+    vec = V[:, -1]
+    return PureState(state.dims, vec / np.linalg.norm(vec))
 
 
 def geometric_distillability_ppt(
     state: PureState | DensityMatrix,
-    cut: Bipartition | None = None,
+    cut: Bipartition,
     config: PptOptConfig | None = None,
 ) -> GeoDistResult:
     """Distance 1 - sup_{sigma in F(cut)} F(state, sigma), as a bracket.
@@ -452,10 +426,7 @@ def geometric_distillability_ppt(
     ``[1 - sqrt(1 - T^2), T]`` with T the minimal trace distance to the
     feasible set.
     """
-    if state.dim > OPT_DIMENSION_CAP:
-        raise SizeLimitError(
-            f"dimension {state.dim} exceeds the optimiser cap {OPT_DIMENSION_CAP}"
-        )
+    _check_opt_dim(state.dim)
     pure = _as_pure(state)
     if pure is not None:
         res = max_overlap_ppt(pure, cut, config)

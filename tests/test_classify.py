@@ -120,6 +120,20 @@ def test_sep_family_obstruction():
     assert check_sep_family_obstruction(noisy).holds is False
 
 
+def test_sep_family_obstruction_threshold_on_one_off_diagonal_block():
+    # coherence between A-levels i and j puts entries of eps / 8 into the
+    # off-diagonal block (i, j) and nowhere else off the block diagonal
+    fam = sep_no_merge_family(3)
+    eps = 1e-3
+    for i, j in ((0, 14), (3, 7)):
+        v = np.zeros(15)
+        v[[i, j]] = 1.0 / np.sqrt(2.0)
+        direction = DensityMatrix((15, 2, 2), np.kron(np.outer(v, v), np.eye(4) / 4))
+        moved = perturb(fam, direction, eps)
+        assert check_sep_family_obstruction(moved, eps / 16).holds is False
+        assert check_sep_family_obstruction(moved, eps / 4).holds is True
+
+
 def test_sep_family_obstruction_ignores_low_rank_families():
     # same block-diagonal shape but all blocks equal: rank 1, no certificate
     blk = sep_no_merge_family(0)

@@ -2,17 +2,25 @@
 
 import importlib
 import json
+import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pptmerge
 from pptmerge import TripartiteState, loads_state
 from pptmerge.cli import main
 from pptmerge.families import GenerationError
 
 cli_mod = importlib.import_module("pptmerge.cli")
+
+# Lets a child interpreter import the package from a plain checkout.
+SUBPROCESS_ENV = dict(os.environ, PYTHONPATH=str(Path(pptmerge.__file__).parent.parent))
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 FAMILIES = (
     "phi-plus",
@@ -56,7 +64,7 @@ def test_generate_deterministic_across_processes(tmp_path):
         "sys.exit(main(['generate', 'sep-no-merge', '--seed', '3']))"
     )
     second = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True
+        [sys.executable, "-c", script], capture_output=True, text=True, env=SUBPROCESS_ENV
     )
     assert second.returncode == 0
     assert second.stdout == a.read_text()
@@ -86,6 +94,8 @@ def test_measure_frozen_strings(tmp_path, capsys):
     assert main(["measure", str(phi), "entropy"]) == 0
     assert capsys.readouterr().out == "0.000000000000\n"
     assert main(["measure", str(phi), "hashing-witness", "--cut", "0:1"]) == 0
+    assert capsys.readouterr().out == "1.000000000000\n"
+    assert main(["measure", str(phi), "negativity-witness", "--cut", "0:1"]) == 0
     assert capsys.readouterr().out == "1.000000000000\n"
     assert main(["measure", str(phi), "is-ppt", "--cut", "0:1"]) == 0
     assert capsys.readouterr().out == "false\n"
@@ -259,6 +269,15 @@ def test_overlap_bell_pair(tmp_path, capsys):
     assert captured.out.startswith("0.5000")
 
 
+def test_overlap_labelled_pure_matrix_file(tmp_path, capsys):
+    # a labelled file stores even a pure state as a density matrix
+    ghz = _generate(tmp_path, "ghz")
+    assert "matrix" in json.loads(ghz.read_text())
+    capsys.readouterr()
+    assert main(["overlap", str(ghz)]) == 0
+    assert abs(float(capsys.readouterr().out) - 0.5) < 1e-6
+
+
 def test_overlap_rejects_mixed_states(tmp_path, capsys):
     robust = _generate(tmp_path, "robust-vanishing", extra=("--p", "0.5"))
     capsys.readouterr()
@@ -291,7 +310,19 @@ def test_cli_entry_point_subprocess(tmp_path):
         [sys.executable, "-m", "pptmerge", "generate", "ghz"],
         capture_output=True,
         text=True,
+        env=SUBPROCESS_ENV,
     )
     assert result.returncode == 0
     state = loads_state(result.stdout)
     assert isinstance(state, TripartiteState)
+
+
+def _readme_names(heading):
+    match = re.search(re.escape(heading) + r":(.*?)\.\n", README.read_text(), re.DOTALL)
+    assert match, heading
+    return re.findall(r"`([^`]+)`", match.group(1))
+
+
+def test_readme_lists_match_cli_tables():
+    assert _readme_names("Families available to `generate`") == list(cli_mod._FAMILIES)
+    assert _readme_names("Measures available to `measure`") == list(cli_mod._MEASURES)

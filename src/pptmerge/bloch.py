@@ -36,11 +36,14 @@ class OperatorBasis:
 
     ``orthogonality_defect`` is the largest deviation of Tr(G_i G_j) from
     2 delta_ij over all pairs; it certifies the construction numerically.
+    ``flat_t`` holds the flattened transposes vec(G_i^T) as rows, shape
+    (d^2 - 1, d^2), so vec(rho) @ flat_t.T gives the coordinates Tr(rho G_i).
     """
 
     dim: int
     elements: tuple[np.ndarray, ...]
     orthogonality_defect: float
+    flat_t: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -93,9 +96,29 @@ def gell_mann_basis(d: int) -> OperatorBasis:
         m.flags.writeable = False
     flat = np.array([m.reshape(-1) for m in mats])
     flat_t = np.array([m.T.reshape(-1) for m in mats])
+    flat_t.flags.writeable = False
     gram = np.real(flat @ flat_t.T)
     defect = float(np.max(np.abs(gram - 2.0 * np.eye(len(mats)))))
-    return OperatorBasis(dim=d, elements=tuple(mats), orthogonality_defect=defect)
+    return OperatorBasis(d, tuple(mats), defect, flat_t)
+
+
+def _bloch_rows(stack: np.ndarray) -> np.ndarray:
+    """Bloch coordinates of a stack of d x d matrices, one row per matrix."""
+    d = stack.shape[-1]
+    if d > _MAX_BASIS_DIM:
+        raise ValueError(f"total dimension {d} exceeds the basis cap {_MAX_BASIS_DIM}")
+    # Tr(rho G) = sum_ij rho_ij G_ji, i.e. vec(rho) . vec(G^T).
+    return np.real(stack.reshape(-1, d * d) @ gell_mann_basis(d).flat_t.T)
+
+
+def _family_rank(stack: np.ndarray) -> int:
+    """Rank of the span of the Bloch rows of a stack of d x d matrices."""
+    svals = np.linalg.svd(_bloch_rows(stack), compute_uv=False)
+    # absolute floor: coordinates of genuine states are O(1), so a leading
+    # singular value at rounding level means the family has no direction
+    if svals.size == 0 or svals[0] <= 1e-10:
+        return 0
+    return int(np.sum(svals > _RANK_RTOL * svals[0]))
 
 
 def bloch_coords(rho: DensityMatrix) -> BlochVector:
@@ -103,14 +126,7 @@ def bloch_coords(rho: DensityMatrix) -> BlochVector:
 
     The state reconstructs as ``I/d + sum_i coords[i] G_i / 2``.
     """
-    d = rho.dim
-    if d > _MAX_BASIS_DIM:
-        raise ValueError(f"total dimension {d} exceeds the basis cap {_MAX_BASIS_DIM}")
-    basis = gell_mann_basis(d)
-    # Tr(rho G) = sum_ij rho_ij G_ji, i.e. vec(rho) . vec(G^T).
-    vec = rho.data.reshape(-1)
-    coords = np.array([np.real(vec @ g.T.reshape(-1)) for g in basis.elements])
-    return BlochVector(dim=d, coords=coords)
+    return BlochVector(dim=rho.dim, coords=_bloch_rows(rho.data)[0])
 
 
 def from_bloch(vector: BlochVector, dims: Sequence[int] | None = None) -> DensityMatrix:
@@ -143,13 +159,7 @@ def rank_of_family(states: Sequence[DensityMatrix]) -> int:
         raise ValueError("all family members must share one total dimension")
     if len(states) > d * d:
         raise ValueError(f"family of {len(states)} states exceeds the d^2 = {d * d} cap")
-    rows = np.array([bloch_coords(s).coords for s in states])
-    svals = np.linalg.svd(rows, compute_uv=False)
-    # absolute floor: coordinates of genuine states are O(1), so a leading
-    # singular value at rounding level means the family has no direction
-    if svals.size == 0 or svals[0] <= 1e-10:
-        return 0
-    return int(np.sum(svals > _RANK_RTOL * svals[0]))
+    return _family_rank(np.array([s.data for s in states]))
 
 
 def _random_qubit_ket(rng: np.random.Generator) -> np.ndarray:

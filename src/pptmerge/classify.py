@@ -17,10 +17,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bloch import rank_of_family
-from .core import Bipartition, DensityMatrix, TripartiteState, _eigvalsh, partial_transpose
+from .bloch import _family_rank
+from .core import TripartiteState, _density_stack, _eigvalsh, _pt_array, partial_transpose
 from .families import SEP_FAMILY_BLOCKS
-from .measures import _marginal_entropy, conditional_entropy, is_ppt, von_neumann_entropy
+from .measures import _marginal_entropy, conditional_entropy, von_neumann_entropy
 
 __all__ = [
     "PERFECT",
@@ -194,6 +194,8 @@ def check_sep_family_obstruction(state: TripartiteState, tol: float = DEFAULT_TO
     qubits, all p_i above 1e-6, every sigma_i PPT across B:C, and the
     sigma_i spanning the full 15-dimensional Bloch space.  States with that
     structure admit no perfect merge even though they are unentangled.
+    The da diagonal blocks are checked as one (da, 4, 4) stack: one batched
+    validation, one batched PPT spectrum and one Bloch-rank SVD.
     """
     condition = (
         "A-diagonal mixture of B:C-separable qubit pairs with full Bloch rank"
@@ -226,14 +228,14 @@ def check_sep_family_obstruction(state: TripartiteState, tol: float = DEFAULT_TO
     if float(block_max.max()) > tol:
         return fail()
 
-    weights = [float(arr[i, :, i, :].trace().real) for i in range(da)]
-    if min(weights) < _OBSTRUCTION_WEIGHT_FLOOR:
+    blocks = np.einsum("iaib->iab", arr)
+    weights = np.trace(blocks, axis1=1, axis2=2).real
+    if weights.min() < _OBSTRUCTION_WEIGHT_FLOOR:
         return fail()
-    blocks = [DensityMatrix((2, 2), arr[i, :, i, :] / weights[i]) for i in range(da)]
-    bc_cut = Bipartition((0,), (1,))
-    if not all(is_ppt(blk, bc_cut, tol) for blk in blocks):
+    blocks = _density_stack(blocks / weights[:, None, None])
+    if not _eigvalsh(_pt_array(blocks, (2, 2), (0,)))[:, 0].min() >= -tol:
         return fail()
-    rank = rank_of_family(blocks)
+    rank = _family_rank(blocks)
     return CriterionResult(
         name="separable_family_obstruction",
         holds=bool(rank == SEP_FAMILY_BLOCKS),

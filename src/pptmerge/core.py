@@ -55,17 +55,46 @@ def _as_complex_matrix(data) -> np.ndarray:
     return arr
 
 
+def _dag(M: np.ndarray) -> np.ndarray:
+    """Conjugate transpose over the last two axes, so a stack maps matrix by matrix."""
+    return M.conj().swapaxes(-1, -2)
+
+
 def _herm(M: np.ndarray) -> np.ndarray:
     """(M + M^dag) / 2, with no check of how far M is from Hermitian."""
-    return 0.5 * (M + M.conj().T)
+    return 0.5 * (M + _dag(M))
 
 
 def _hermitian_part(M: np.ndarray, atol: float) -> np.ndarray:
     """(M + M^dag) / 2, after checking that no entry of M - M^dag exceeds atol."""
-    dev = float(np.max(np.abs(M - M.conj().T)))
+    dev = float(np.max(np.abs(M - _dag(M))))
     if dev > atol:
         raise ValueError(f"matrix is not Hermitian: max |M - M^dag| = {dev:.3e}")
     return _herm(M)
+
+
+def _density_stack(stack: np.ndarray) -> np.ndarray:
+    """The :class:`DensityMatrix` checks and clamp over a stack (k, D, D), with
+    one batched ``eigh``; returns the checked stack or raises ``ValueError``
+    with the worst matrix's value."""
+    arr = _hermitian_part(stack, _HERMITICITY_ATOL)
+    tr = np.trace(arr, axis1=-2, axis2=-1).real
+    worst = int(np.argmax(np.abs(tr - 1.0)))
+    if abs(tr[worst] - 1.0) > _TRACE_ATOL:
+        raise ValueError(f"trace must be 1 within {_TRACE_ATOL:.0e}, got {float(tr[worst])!r}")
+    w, V = np.linalg.eigh(arr)
+    low = w[:, 0]
+    if low.min() < _EIG_FLOOR:
+        raise ValueError(
+            f"matrix is not positive semidefinite: min eigenvalue {low.min():.3e}"
+        )
+    clamp = low < 0.0
+    if clamp.any():
+        V = V[clamp]
+        fixed = _herm((V * np.clip(w[clamp], 0.0, None)[:, None, :]) @ _dag(V))
+        fixed /= np.trace(fixed, axis1=-2, axis2=-1).real[:, None, None]
+        arr[clamp] = fixed
+    return arr
 
 
 def _check_dims(dims) -> tuple[int, ...]:
@@ -106,19 +135,7 @@ class DensityMatrix:
             raise ValueError(
                 f"matrix shape {arr.shape} does not match dims {dims} (D={D})"
             )
-        arr = _hermitian_part(arr, _HERMITICITY_ATOL)
-        tr = float(np.trace(arr).real)
-        if abs(tr - 1.0) > _TRACE_ATOL:
-            raise ValueError(f"trace must be 1 within {_TRACE_ATOL:.0e}, got {tr!r}")
-        w, V = np.linalg.eigh(arr)
-        if w[0] < _EIG_FLOOR:
-            raise ValueError(
-                f"matrix is not positive semidefinite: min eigenvalue {w[0]:.3e}"
-            )
-        if w[0] < 0.0:
-            w = np.clip(w, 0.0, None)
-            arr = _herm((V * w) @ V.conj().T)
-            arr /= np.trace(arr).real
+        arr = _density_stack(arr[None])[0]
         arr.flags.writeable = False
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "data", arr)
@@ -316,13 +333,15 @@ def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
 def _pt_array(
     matrix: np.ndarray, dims: Sequence[int], transpose: Sequence[int]
 ) -> np.ndarray:
+    """Partial transpose of the last two axes; leading axes index a stack."""
     n = len(dims)
-    T = matrix.reshape(tuple(dims) + tuple(dims))
-    perm = list(range(2 * n))
+    lead = matrix.shape[:-2]
+    T = matrix.reshape(lead + tuple(dims) + tuple(dims))
+    k = len(lead)
+    perm = list(range(k + 2 * n))
     for i in transpose:
-        perm[i], perm[n + i] = perm[n + i], perm[i]
-    D = matrix.shape[0]
-    return T.transpose(perm).reshape(D, D)
+        perm[k + i], perm[k + n + i] = perm[k + n + i], perm[k + i]
+    return T.transpose(perm).reshape(matrix.shape)
 
 
 def partial_transpose(rho: DensityMatrix, cut: Bipartition) -> np.ndarray:

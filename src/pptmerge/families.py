@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bloch import _random_separable_two_qubit, rank_of_family
+from .bloch import _family_rank, _random_separable_two_qubit
 from .core import DensityMatrix, PureState, TripartiteState
 
 __all__ = [
@@ -102,8 +102,7 @@ def sep_no_merge_family(seed: int) -> TripartiteState:
     for attempt in range(_RETRY_CAP):
         rng = np.random.default_rng(seed + attempt)
         blocks = [_random_separable_two_qubit(rng, 4) for _ in range(m)]
-        states = [DensityMatrix((2, 2), b) for b in blocks]
-        if rank_of_family(states) != m:
+        if _family_rank(np.array(blocks)) != m:
             continue
         raw = rng.uniform(size=m)
         raw /= raw.sum()

@@ -66,6 +66,13 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(f"malformed state file: {message}")
 
 
+def _finite(v: int | float) -> bool:
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
 def _as_complex_list(raw, expected: int, field: str) -> np.ndarray:
     _require(isinstance(raw, list), f"{field} must be a list")
     _require(
@@ -80,7 +87,7 @@ def _as_complex_list(raw, expected: int, field: str) -> np.ndarray:
             f"{field}[{i}] must be a [re, im] pair of numbers",
         )
         _require(
-            all(math.isfinite(v) for v in pair), f"{field}[{i}] must be finite"
+            all(_finite(v) for v in pair), f"{field}[{i}] must be finite"
         )
         out[i] = complex(pair[0], pair[1])
     return out

@@ -81,3 +81,51 @@ def entropy_bits(eigenvalues):
     p = np.asarray(eigenvalues, dtype=float)
     p = p[p > 1e-12]
     return float(-(p * np.log2(p)).sum())
+
+
+_PAULIS = (
+    np.eye(2, dtype=complex),
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+
+
+def sep_family_obstruction(matrix, dims, a, b, c, tol=1e-9, weight_floor=1e-6):
+    """(holds, witness) of the flagged separable-family test, one block at a time.
+
+    The state must be block diagonal in A with 15 or 16 flags, B and C
+    single qubits, every flag weight at least ``weight_floor`` and every
+    normalised block PPT across B:C (einsum partial transpose).  The
+    witness is the rank of the blocks' two-qubit Bloch vectors, taken in
+    the Pauli-product basis, one coordinate Tr(sigma P x Q) at a time.
+    """
+    if len(b) != 1 or len(c) != 1 or dims[b[0]] != 2 or dims[c[0]] != 2:
+        return False, None
+    da = int(np.prod([dims[i] for i in a]))
+    if not 15 <= da <= 16:
+        return False, None
+    n = len(dims)
+    order = list(a) + list(b) + list(c)
+    tensor = np.asarray(matrix).reshape(*dims, *dims)
+    rho = tensor.transpose(order + [n + i for i in order]).reshape(da, 4, da, 4)
+    for i in range(da):
+        for j in range(da):
+            if i != j and np.abs(rho[i, :, j, :]).max() > tol:
+                return False, None
+    rows = []
+    for i in range(da):
+        weight = np.trace(rho[i, :, i, :]).real
+        if weight < weight_floor:
+            return False, None
+        sigma = rho[i, :, i, :] / weight
+        if np.linalg.eigvalsh(partial_transpose_einsum(sigma, (2, 2), (0,)))[0] < -tol:
+            return False, None
+        rows.append([
+            np.trace(sigma @ np.kron(p, q)).real
+            for k, p in enumerate(_PAULIS)
+            for l, q in enumerate(_PAULIS)
+            if k or l
+        ])
+    rank = int(np.linalg.matrix_rank(np.array(rows)))
+    return rank == 15, float(rank)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pptmerge import (
     Bipartition,
@@ -14,7 +16,8 @@ from pptmerge import (
     random_separable_two_qubit,
     rank_of_family,
 )
-from helpers import random_density
+from pptmerge.bloch import _bloch_rows
+from helpers import haar_unitary, random_density
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -150,3 +153,47 @@ def test_random_separable_two_qubit():
     assert pure.is_pure()
     with pytest.raises(ValueError):
         random_separable_two_qubit(0, mixing_terms=0)
+
+
+# Hypothesis draws the dimensions, sizes and seeds; numpy draws the states.
+_dims = st.sampled_from([(2,), (3,), (2, 2), (5,), (2, 3), (2, 2, 2), (16,)])
+_seeds = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims=_dims, k=st.integers(1, 6), seed=_seeds)
+def test_bloch_rows_of_a_stack_match_bloch_coords(dims, k, seed):
+    rng = np.random.default_rng(seed)
+    states = [random_density(rng, dims, rank=int(rng.integers(1, 4))) for _ in range(k)]
+    rows = _bloch_rows(np.array([s.data for s in states]))
+    assert rows.shape == (k, states[0].dim ** 2 - 1)
+    for row, state in zip(rows, states):
+        np.testing.assert_allclose(row, bloch_coords(state).coords, rtol=0, atol=1e-14)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims=_dims, rank=st.integers(1, 4), seed=_seeds)
+def test_from_bloch_round_trips_bloch_coords(dims, rank, seed):
+    rho = random_density(np.random.default_rng(seed), dims, rank=rank)
+    back = from_bloch(bloch_coords(rho), dims=dims)
+    assert back.dims == rho.dims
+    np.testing.assert_allclose(back.data, rho.data, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.sampled_from([2, 3, 4]), data=st.data(), seed=_seeds)
+def test_rank_of_family_invariant_under_permutation_and_common_unitary(d, data, seed):
+    # members are mixtures of a few generators, so the rank is often below full
+    k = data.draw(st.integers(1, d * d), label="members")
+    generators = data.draw(st.integers(1, k), label="generators")
+    rng = np.random.default_rng(seed)
+    gens = np.array([random_density(rng, (d,)).data for _ in range(generators)])
+    family = [
+        DensityMatrix((d,), np.tensordot(rng.dirichlet(np.ones(generators)), gens, axes=1))
+        for _ in range(k)
+    ]
+    rank = rank_of_family(family)
+    assert 0 < rank <= min(generators, d * d - 1)
+    assert rank_of_family([family[i] for i in rng.permutation(k)]) == rank
+    u = haar_unitary(rng, d)
+    assert rank_of_family([DensityMatrix((d,), u @ s.data @ u.conj().T) for s in family]) == rank

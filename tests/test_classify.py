@@ -39,8 +39,13 @@ from pptmerge.classify import (
     VANISHING,
     VERDICTS,
 )
-from helpers import haar_unitary, random_density, random_tripartite
-from oracles import entropy_bits, partial_trace_einsum, partial_transpose_einsum
+from helpers import haar_unitary, random_density, random_separable, random_tripartite
+from oracles import (
+    entropy_bits,
+    partial_trace_einsum,
+    partial_transpose_einsum,
+    sep_family_obstruction,
+)
 
 
 def _free_merge_state():
@@ -148,6 +153,78 @@ def test_sep_family_obstruction_ignores_low_rank_families():
     assert r.holds is False
     assert r.witness == 1.0
     assert classify(flat).verdict != NO_PERFECT_MERGE
+
+
+def _family_blocks(seed):
+    """Flag weights and normalised B:C blocks of ``sep_no_merge_family(seed)``."""
+    data = sep_no_merge_family(seed).state.data
+    blocks = [data[4 * i : 4 * i + 4, 4 * i : 4 * i + 4] for i in range(15)]
+    weights = [np.trace(blk).real for blk in blocks]
+    return weights, [blk / w for blk, w in zip(blocks, weights)]
+
+
+def _flagged(weights, blocks, dims=None, parties=((0,), (1,), (2,))):
+    """sum_i p_i |i><i|_A (x) sigma_i_BC, with A's flags laid out over ``dims``."""
+    m = len(blocks)
+    mat = np.zeros((4 * m, 4 * m), dtype=complex)
+    for i, (w, blk) in enumerate(zip(weights, blocks)):
+        mat[4 * i : 4 * i + 4, 4 * i : 4 * i + 4] = w * blk
+    mat /= np.trace(mat).real
+    return TripartiteState(DensityMatrix(dims or (m, 2, 2), mat), *parties)
+
+
+def test_sep_family_obstruction_matches_block_oracle():
+    weights, blocks = _family_blocks(3)
+    bell = np.outer(phi_plus().amplitudes, phi_plus().amplitudes.conj())
+    extra = random_separable(np.random.default_rng(193), 2, 2).data
+    perm = np.random.default_rng(197).permutation(15)
+    # the same family with its subsystems laid out as (C, A, B)
+    flags = _flagged(weights, blocks).state.data.reshape((15, 2, 2) * 2)
+    cab = flags.transpose(2, 0, 1, 5, 3, 4).reshape(60, 60)
+    cases = [
+        ("genuine", _flagged(weights, blocks), (True, 15.0)),
+        ("one NPT block", _flagged(weights, blocks[:5] + [bell] + blocks[6:]), (False, None)),
+        ("one block duplicated", _flagged(weights, blocks[:7] + [blocks[2]] + blocks[8:]),
+         (False, 14.0)),
+        ("A over two subsystems",
+         _flagged(weights, blocks, (3, 5, 2, 2), ((0, 1), (2,), (3,))), (True, 15.0)),
+        ("16 flags", _flagged(weights + [0.05], blocks + [extra]), (True, 15.0)),
+        ("permuted blocks",
+         _flagged([weights[i] for i in perm], [blocks[i] for i in perm]), (True, 15.0)),
+        ("parties out of order",
+         TripartiteState(DensityMatrix((2, 15, 2), cab), (1,), (2,), (0,)), (True, 15.0)),
+    ]
+    for label, state, want in cases:
+        r = check_sep_family_obstruction(state)
+        oracle = sep_family_obstruction(
+            state.state.data, state.dims, state.a_indices, state.b_indices, state.c_indices
+        )
+        assert (r.holds, r.witness) == oracle == want, label
+
+
+def test_classify_checks_sep_family_blocks_as_one_stack(monkeypatch):
+    # the six spectra, one batched eigh validating the 15 blocks and one
+    # batched eigvalsh of their B:C partial transposes; no DensityMatrix per block
+    state = sep_no_merge_family(11)
+    calls = {"eig": 0, "density": 0}
+
+    def counting(fn, key):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh, "eig"))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh, "eig"))
+    monkeypatch.setattr(
+        DensityMatrix, "__post_init__", counting(DensityMatrix.__post_init__, "density")
+    )
+    report = classify(state)
+    assert report.verdict == NO_PERFECT_MERGE
+    assert report.criteria[-1].witness == 15.0
+    assert calls["eig"] <= 8
+    assert calls["density"] == 0
 
 
 def test_no_verdict_pair_is_ever_inconsistent():

@@ -169,6 +169,17 @@ def test_classify_requires_labels(tmp_path, capsys):
     assert "labels" in capsys.readouterr().err
 
 
+def test_classify_rejects_integer_too_large_for_a_float(tmp_path, capsys):
+    # json reads the 400-digit integer exactly; it must not reach float()
+    payload = json.loads(_generate(tmp_path, "ghz").read_text())
+    payload["matrix"][0] = [10**400, 0]
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["classify", str(bad)]) == 2
+    assert "error: malformed state file: matrix[0] must be finite" in capsys.readouterr().err
+
+
 def test_classify_json_report(tmp_path, capsys):
     robust = _generate(tmp_path, "robust-vanishing")
     report_path = tmp_path / "report.json"

@@ -115,7 +115,7 @@ def test_sep_no_merge_family_deterministic():
 
 
 def test_sep_no_merge_family_retry_exhaustion(monkeypatch):
-    monkeypatch.setattr(families, "rank_of_family", lambda states: 14)
+    monkeypatch.setattr(families, "_family_rank", lambda stack: 14)
     with pytest.raises(GenerationError, match="100 attempts"):
         sep_no_merge_family(0)
 

@@ -117,6 +117,18 @@ def test_loads_rejects_malformed_inputs():
     assert good["format_version"] == FORMAT_VERSION
 
 
+def test_loads_rejects_integers_too_large_for_a_float():
+    # json parses a 400-digit integer exactly; converting it to a float overflows
+    huge = 10**400
+    for field, entries in (
+        ("matrix", [[huge, 0], [0, 0], [0, 0], [0, 0]]),
+        ("amplitudes", [[1, 0], [0, -huge]]),
+    ):
+        text = json.dumps({"format_version": FORMAT_VERSION, "dims": [2], field: entries})
+        with pytest.raises(ValueError, match=r"malformed state file: .* must be finite"):
+            loads_state(text)
+
+
 def test_loads_rejects_bad_labels():
     def with_labels(labels):
         payload = json.loads(dumps_state(ghz()))

@@ -2,22 +2,14 @@
 merged into another under PPT-preserving operations.
 
 The package provides validated state containers, entropic measures and
-distillability witnesses, a Bloch-space toolkit, named state families,
-convex optimisers over the PPT set, and a criterion-based classifier with
-a JSON command-line front end.
+distillability witnesses, the Bloch rank of a state family, named state
+families, convex optimisers over the PPT set, and a criterion-based
+classifier with a JSON command-line front end.
 """
 
 __version__ = "0.1.0"
 
-from .bloch import (
-    BlochVector,
-    OperatorBasis,
-    bloch_coords,
-    from_bloch,
-    gell_mann_basis,
-    rank_of_family,
-    random_separable_two_qubit,
-)
+from .bloch import rank_of_family
 from .classify import (
     INCONCLUSIVE,
     NO_PERFECT_MERGE,
@@ -40,16 +32,12 @@ from .core import (
     DIMENSION_CAP,
     Bipartition,
     DensityMatrix,
-    NumericError,
     PureState,
     SizeLimitError,
     TripartiteState,
-    eigh,
-    matrix_sqrt,
     partial_trace,
     partial_transpose,
     tensor,
-    trace_norm,
 )
 from .families import (
     GenerationError,
@@ -92,16 +80,12 @@ __all__ = [
     "DIMENSION_CAP",
     "Bipartition",
     "DensityMatrix",
-    "NumericError",
     "PureState",
     "SizeLimitError",
     "TripartiteState",
-    "eigh",
-    "matrix_sqrt",
     "partial_trace",
     "partial_transpose",
     "tensor",
-    "trace_norm",
     # measures
     "WitnessValue",
     "conditional_entropy",
@@ -114,13 +98,7 @@ __all__ = [
     "trace_distance",
     "von_neumann_entropy",
     # bloch
-    "BlochVector",
-    "OperatorBasis",
-    "bloch_coords",
-    "from_bloch",
-    "gell_mann_basis",
     "rank_of_family",
-    "random_separable_two_qubit",
     # families
     "GenerationError",
     "classical_correlated",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bloch import _family_rank, _random_separable_two_qubit
+from .bloch import _family_rank
 from .core import DensityMatrix, PureState, TripartiteState
 
 __all__ = [
@@ -80,6 +80,21 @@ def product_example(psi: PureState) -> TripartiteState:
     return TripartiteState.from_pure(
         PureState(psi.dims + (2,), vec), (0,), (1,), (2,)
     )
+
+
+def _random_qubit_ket(rng: np.random.Generator) -> np.ndarray:
+    v = rng.standard_normal(2) + 1.0j * rng.standard_normal(2)
+    return v / np.linalg.norm(v)
+
+
+def _random_separable_two_qubit(rng: np.random.Generator, mixing_terms: int) -> np.ndarray:
+    """Mixture of ``mixing_terms`` product pure states of two qubits, as a 4 x 4 array."""
+    weights = rng.dirichlet(np.ones(mixing_terms))
+    out = np.zeros((4, 4), dtype=complex)
+    for w in weights:
+        ket = np.kron(_random_qubit_ket(rng), _random_qubit_ket(rng))
+        out += w * np.outer(ket, ket.conj())
+    return out
 
 
 def sep_no_merge_family(seed: int) -> TripartiteState:

@@ -101,7 +101,7 @@ def loads_state(text: str) -> StateLike:
     """
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise ValueError(f"malformed state file: invalid JSON ({exc})") from exc
     _require(isinstance(payload, dict), "top level must be an object")
     _require(

@@ -180,6 +180,13 @@ def test_classify_rejects_integer_too_large_for_a_float(tmp_path, capsys):
     assert "error: malformed state file: matrix[0] must be finite" in capsys.readouterr().err
 
 
+def test_classify_rejects_deeply_nested_json(tmp_path, capsys):
+    bad = tmp_path / "nested.json"
+    bad.write_text("[" * 100000)
+    assert main(["classify", str(bad)]) == 2
+    assert "error: malformed state file: invalid JSON" in capsys.readouterr().err
+
+
 def test_classify_json_report(tmp_path, capsys):
     robust = _generate(tmp_path, "robust-vanishing")
     report_path = tmp_path / "report.json"

@@ -1,21 +1,19 @@
 """Containers and linear algebra primitives."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from pptmerge import (
     Bipartition,
     DensityMatrix,
-    NumericError,
     PureState,
     SizeLimitError,
     TripartiteState,
-    eigh,
-    matrix_sqrt,
     partial_trace,
     partial_transpose,
     tensor,
-    trace_norm,
 )
 from helpers import haar_unitary, random_density, random_ket, random_pure
 from oracles import partial_trace_einsum
@@ -80,6 +78,21 @@ def test_density_matrix_rejects_non_finite():
         DensityMatrix((2,), m)
 
 
+@pytest.mark.parametrize(
+    "m",
+    [
+        [[1e308, 0.0], [0.0, -1e308]],  # the Hermitian part overflows to inf + nan j
+        [[0.0, 1e308], [-1e308, 0.0]],  # M - M^dag overflows
+        np.diag([6e307, 6e307, 6e307]),  # the trace overflows
+    ],
+)
+def test_density_matrix_rejects_entries_that_overflow(m):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            DensityMatrix((len(m),), np.array(m))
+
+
 def test_density_matrix_is_immutable():
     rho = DensityMatrix((2,), np.eye(2) / 2)
     with pytest.raises(ValueError):
@@ -110,6 +123,13 @@ def test_pure_state_validation():
         PureState((2, 2), np.array([1.0, 0.0]))  # wrong length
     with pytest.raises(ValueError, match="finite"):
         PureState((2,), np.array([np.inf, 0.0]))
+
+
+def test_pure_state_rejects_amplitudes_whose_norm_overflows():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="normalised"):
+            PureState((2, 2), np.array([1e308, 1e308, 0.0, 0.0]))
 
 
 def test_pure_to_density_matches_outer_product():
@@ -220,7 +240,7 @@ def test_partial_transpose_phi_plus_spectrum():
     pt = partial_transpose(rho, Bipartition((0,), (1,)))
     w = np.sort(np.linalg.eigvalsh(pt))
     np.testing.assert_allclose(w, [-0.5, 0.5, 0.5, 0.5], atol=1e-12)
-    assert abs(trace_norm(pt) - 2.0) < 1e-10
+    assert abs(np.abs(np.linalg.eigvalsh(pt)).sum() - 2.0) < 1e-10
 
 
 def test_partial_transpose_is_an_involution():
@@ -251,50 +271,6 @@ def test_partial_transpose_cut_mismatch():
     rho = random_density(rng, (2, 2))
     with pytest.raises(ValueError):
         partial_transpose(rho, Bipartition((0,), (1, 2)))
-
-
-def test_eigh_contract():
-    rng = np.random.default_rng(37)
-    for d in [2, 5, 16, 64]:
-        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        m = a + a.conj().T
-        w, V = eigh(m)
-        assert np.all(np.diff(w) >= -1e-12)  # ascending
-        np.testing.assert_allclose((V * w) @ V.conj().T, m, atol=1e-8 * np.linalg.norm(m))
-        assert abs(w.sum() - np.trace(m).real) < 1e-8 * max(1.0, abs(np.trace(m).real))
-        np.testing.assert_allclose(V.conj().T @ V, np.eye(d), atol=1e-10)
-
-
-def test_eigh_rejects_non_hermitian():
-    with pytest.raises(ValueError, match="Hermitian"):
-        eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_trace_norm_properties():
-    rng = np.random.default_rng(41)
-    for _ in range(20):
-        a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        b = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        ha, hb = a + a.conj().T, b + b.conj().T
-        assert trace_norm(ha + hb) <= trace_norm(ha) + trace_norm(hb) + 1e-9
-        assert abs(trace_norm(2.5 * ha) - 2.5 * trace_norm(ha)) < 1e-9
-    assert trace_norm(np.zeros((3, 3))) == 0.0
-    with pytest.raises(ValueError, match="Hermitian"):
-        trace_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_matrix_sqrt_squares_back():
-    rng = np.random.default_rng(43)
-    for _ in range(10):
-        a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        p = a @ a.conj().T
-        r = matrix_sqrt(p)
-        np.testing.assert_allclose(r @ r, p, atol=1e-8 * np.linalg.norm(p))
-    with pytest.raises(ValueError, match="positive semidefinite"):
-        matrix_sqrt(np.diag([1.0, -0.5]))
-    # tiny negatives are treated as zero
-    r = matrix_sqrt(np.diag([1.0, -5e-10]))
-    np.testing.assert_allclose(r, np.diag([1.0, 0.0]), atol=1e-4)
 
 
 def test_unitary_helper_is_unitary():

@@ -120,6 +120,20 @@ def test_sep_no_merge_family_retry_exhaustion(monkeypatch):
         sep_no_merge_family(0)
 
 
+def test_random_separable_two_qubit():
+    sample = families._random_separable_two_qubit
+    a = sample(np.random.default_rng(42), 4)
+    b = sample(np.random.default_rng(42), 4)
+    np.testing.assert_array_equal(a, b)  # deterministic for one generator state
+    c = sample(np.random.default_rng(43), 4)
+    assert not np.array_equal(a, c)
+    for seed in range(20):
+        rho = DensityMatrix((2, 2), sample(np.random.default_rng(seed), 4))
+        assert is_ppt(rho, Bipartition((0,), (1,)), tol=1e-10)
+        assert is_ppt(rho, Bipartition((1,), (0,)), tol=1e-10)
+    assert DensityMatrix((2, 2), sample(np.random.default_rng(7), 1)).is_pure()
+
+
 def test_robust_vanishing_family_invariants():
     t = robust_vanishing_family(0.1)
     assert t.dims == (2, 2, 2)

@@ -1,9 +1,13 @@
 """JSON state files: canonical form, validation, round trips."""
 
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pptmerge import (
     DensityMatrix,
@@ -127,6 +131,85 @@ def test_loads_rejects_integers_too_large_for_a_float():
         text = json.dumps({"format_version": FORMAT_VERSION, "dims": [2], field: entries})
         with pytest.raises(ValueError, match=r"malformed state file: .* must be finite"):
             loads_state(text)
+
+
+def test_loads_rejects_deep_nesting():
+    # json.loads recurses once per level and gives up with RecursionError
+    with pytest.raises(ValueError, match="malformed state file: invalid JSON"):
+        loads_state("[" * 100000)
+    with pytest.raises(ValueError, match="malformed state file: invalid JSON"):
+        loads_state('{"format_version": 1, "dims": ' + "[" * 100000)
+
+
+def test_loads_rejects_integer_literals_beyond_the_conversion_limit():
+    # Python refuses to parse integers of more than 4300 digits
+    text = '{"format_version": 1, "dims": [2], "amplitudes": [[1' + "0" * 5000 + ", 0], [0, 0]]}"
+    with pytest.raises(ValueError, match="malformed state file: invalid JSON"):
+        loads_state(text)
+
+
+# Fuzz: whatever the text, the reader either returns a state or raises
+# ValueError, and no numpy overflow warning escapes on the way.
+_extreme = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),  # json writes NaN, Infinity
+    st.sampled_from([1e308, -1e308, 1.7976931348623157e308, 5e-324, 10**308, 2**1024]),
+    st.integers(-(10**4000), 10**4000),  # within Python's 4300-digit limit
+)
+_huge = st.floats(1e150, 1.7976931348623157e308)  # finite, but the squares overflow
+_numbers = st.one_of(
+    st.sampled_from([0, 1, 0.5, -0.5]), st.floats(-2.0, 2.0), _huge, _huge.map(lambda x: -x), _extreme
+)
+_json = st.recursive(
+    st.none() | st.booleans() | _numbers | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _state_files(draw):
+    # Mostly a well-formed frame, so that the numbers reach the state checks.
+    def usually(strategy):
+        return draw(strategy if draw(st.integers(0, 3)) else _json)
+
+    dims = usually(st.sampled_from([[2], [3], [2, 2]]))
+    field = draw(st.sampled_from(["amplitudes", "matrix"]))
+    D = math.prod(dims) if isinstance(dims, list) and all(type(d) is int and 2 <= d <= 4 for d in dims) else 2
+    n = D if field == "amplitudes" else D * D
+    pair = st.lists(_numbers, min_size=2, max_size=2)
+    payload = {
+        "format_version": usually(st.just(1)),
+        "dims": "DIMS",
+        field: usually(st.lists(pair, min_size=n, max_size=n)),
+    }
+    if draw(st.booleans()):
+        payload["labels"] = usually(
+            st.fixed_dictionaries({k: st.lists(st.integers(-1, 3) | _numbers, max_size=2) for k in "abc"})
+        )
+    depth = 3000 if draw(st.integers(0, 7)) == 0 else 0  # beyond the recursion limit
+    nested = "[" * depth + json.dumps(dims) + "]" * depth
+    return json.dumps(payload).replace('"DIMS"', nested, 1)
+
+
+def _read_or_reject(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            loads_state(text)
+        except ValueError:
+            pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=st.text())
+def test_loads_fuzz_arbitrary_text(text):
+    _read_or_reject(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_state_files())
+def test_loads_fuzz_schema_shaped_extreme_numbers(text):
+    _read_or_reject(text)
 
 
 def test_loads_rejects_bad_labels():

@@ -231,7 +231,8 @@ def _opt_cut(args, state) -> Bipartition:
 def _print_diagnostics(result) -> None:
     residuals = ", ".join(f"{k}={v:.3e}" for k, v in result.residuals.items())
     print(
-        f"iterations={result.iterations} converged={result.converged} {residuals}",
+        f"iterations={result.iterations} converged={result.converged} "
+        f"gap={result.gap:.3e} {residuals}",
         file=sys.stderr,
     )
 

@@ -42,7 +42,7 @@ def _as_complex_matrix(data) -> np.ndarray:
     arr = np.asarray(data, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.view(float))):
+    if not np.isfinite(arr).all():
         raise ValueError("matrix contains non-finite entries")
     return arr
 
@@ -161,7 +161,7 @@ class PureState:
     def __post_init__(self):
         dims = _check_dims(self.dims)
         vec = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        if not np.all(np.isfinite(vec.view(float))):
+        if not np.isfinite(vec).all():
             raise ValueError("amplitudes contain non-finite entries")
         D = int(np.prod(dims))
         if vec.shape != (D,):

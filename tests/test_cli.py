@@ -260,7 +260,7 @@ def test_geodist_bell_pair(tmp_path, capsys):
     captured = capsys.readouterr()
     value = float(captured.out.strip())
     assert abs(value - 0.29289321881345254) < 1e-3
-    assert "converged=True" in captured.err
+    assert "converged=True gap=inf" in captured.err  # pure: the overlap solver, no dual
 
 
 def test_geodist_tripartite_defaults_to_ab_c(tmp_path, capsys):
@@ -270,6 +270,8 @@ def test_geodist_tripartite_defaults_to_ab_c(tmp_path, capsys):
     captured = capsys.readouterr()
     ends = [float(tok) for tok in captured.out.split()]
     assert all(v < 1e-5 for v in ends)  # the state is feasible across AB:C
+    gap = float(captured.err.split("gap=")[1].split()[0])
+    assert "converged=True" in captured.err and gap <= 1e-7
 
 
 def test_geodist_requires_cut_without_labels(tmp_path, capsys):

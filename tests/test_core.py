@@ -93,6 +93,15 @@ def test_density_matrix_rejects_entries_that_overflow(m):
             DensityMatrix((len(m),), np.array(m))
 
 
+def test_containers_accept_strided_complex_input():
+    # a transposed matrix or an eigenvector column is not C-contiguous
+    rng = np.random.default_rng(5)
+    rho = random_density(rng, (2, 2))
+    assert np.array_equal(DensityMatrix((2, 2), rho.data.T).data, rho.data.T)
+    col = np.linalg.eigh(rho.data)[1][:, -1]
+    assert np.array_equal(PureState((2, 2), col).amplitudes, col)
+
+
 def test_density_matrix_is_immutable():
     rho = DensityMatrix((2,), np.eye(2) / 2)
     with pytest.raises(ValueError):

@@ -1,5 +1,8 @@
 """Optimisers over the PPT-constrained state set."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,7 @@ from pptmerge import (
     tensor,
     trace_distance,
 )
+from pptmerge import pptopt
 from pptmerge.families import phi_plus, robust_vanishing_family
 from pptmerge.pptopt import _feasible_at_level
 from helpers import random_pure, random_separable
@@ -33,6 +37,21 @@ CUT01 = Bipartition((0,), (1,))
 PROJ_DIST_PHI = 0.5773502691896258
 # 1 - sqrt(1/2), the geometric distillability of one Bell pair
 GEODIST_PHI = 0.29289321881345254
+
+
+def _isotropic(d, f):
+    """Isotropic state of fidelity f; its trace distance to PPT is f - 1/d."""
+    v = np.eye(d).reshape(-1) / np.sqrt(d)
+    proj = np.outer(v, v)
+    return DensityMatrix((d, d), f * proj + (1.0 - f) * (np.eye(d * d) - proj) / (d * d - 1))
+
+
+def _werner(d, p):
+    """Werner state of antisymmetric weight p; its trace distance to PPT is p - 1/2."""
+    D = d * d
+    swap = np.eye(D).reshape(d, d, d, d).transpose(0, 1, 3, 2).reshape(D, D)
+    anti, sym = (np.eye(D) - swap) / 2.0, (np.eye(D) + swap) / 2.0
+    return DensityMatrix((d, d), p * anti / np.trace(anti) + (1.0 - p) * sym / np.trace(sym))
 
 
 def test_config_validation():
@@ -73,6 +92,14 @@ def test_project_ppt_state_validation():
         project_ppt_state(np.eye(4) / 4, (2, 2))
 
 
+@pytest.mark.parametrize("m", [np.full((4, 4), np.nan), np.diag([np.inf, 0.0, 0.0, 0.0])])
+def test_project_ppt_state_rejects_non_finite(m):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            project_ppt_state(m, (2, 2), cut=CUT01)
+
+
 def test_max_overlap_bell_pair():
     res = max_overlap_ppt(phi_plus(), cut=CUT01)
     assert isinstance(res, PptOptResult)
@@ -85,6 +112,7 @@ def test_max_overlap_bell_pair():
     )
     assert abs(direct - res.value) < 1e-12  # value is read off the certificate
     assert max(res.residuals.values()) <= 1e-6
+    assert res.gap == math.inf  # no dual bound for the overlap yet
 
 
 def test_max_overlap_product_state_reaches_one():
@@ -144,6 +172,7 @@ def test_min_trace_distance_ppt_inputs():
     t = robust_vanishing_family(0.2)
     res = min_trace_distance_ppt(t.state, cut=t.cut_ab_c())
     assert res.value < 1e-6  # the state is already feasible across AB:C
+    assert res.converged and res.gap <= PptOptConfig().tol  # T >= 0 closes it
 
 
 def test_min_trace_distance_bell_pair():
@@ -154,6 +183,39 @@ def test_min_trace_distance_bell_pair():
     assert abs(direct - res.value) < 1e-9
     h = res.objective_history
     assert all(b <= a + 1e-6 for a, b in zip(h, h[1:]))
+    assert res.converged and 0.0 <= res.gap <= PptOptConfig().tol
+
+
+@pytest.mark.parametrize(
+    "rho, exact",
+    [
+        (_isotropic(3, 0.6), 0.6 - 1 / 3),
+        (_isotropic(3, 0.9), 0.9 - 1 / 3),
+        (_werner(3, 0.7), 0.2),
+        (_werner(3, 0.95), 0.45),
+    ],
+)
+def test_trace_distance_dual_certifies_symmetric_states_early(rho, exact):
+    # the first projection is already optimal; without the dual bound the
+    # solver spent 800-1,500 sweeps on 100 stalled steps before stopping
+    res = min_trace_distance_ppt(rho, cut=CUT01)
+    assert res.converged and 0.0 <= res.gap <= PptOptConfig().tol
+    assert res.iterations <= 60
+    assert abs(res.value - exact) < 1e-6
+
+
+def test_trace_distance_exits_without_a_certified_gap_are_not_converged(monkeypatch):
+    # either way only the trivial bound T >= 0 is left, so the gap is the value
+    rho = phi_plus().to_density()
+    res = min_trace_distance_ppt(rho, CUT01, PptOptConfig(max_iters=3))
+    assert res.iterations == 3  # budget spent on the first projection
+    assert not res.converged and res.gap == res.value
+    # with no usable bound the loop leaves on 100 stalled steps, inside the budget
+    monkeypatch.setattr(pptopt, "_trace_distance_dual", lambda *args: -math.inf)
+    res = min_trace_distance_ppt(rho, cut=CUT01)
+    assert res.iterations < PptOptConfig().max_iters
+    assert not res.converged and res.gap == res.value
+    assert abs(res.value - 0.5) < 1e-3
 
 
 def test_min_trace_distance_dimension_cap():

@@ -1,4 +1,5 @@
-"""Hypothesis properties of the measures, witnesses and classifier.
+"""Hypothesis properties of the partial transpose, measures, witnesses, classifier
+and trace-distance dual bound.
 
 Hypothesis draws the layouts, ranks and seeds; numpy draws the states.
 """
@@ -14,6 +15,7 @@ from pptmerge import (
     Bipartition,
     DensityMatrix,
     InconsistentCriteriaError,
+    PptOptConfig,
     TripartiteState,
     classify,
     conditional_entropy,
@@ -22,12 +24,15 @@ from pptmerge import (
     is_ppt,
     log_negativity,
     mutual_information,
+    min_trace_distance_ppt,
     negativity_witness,
+    partial_transpose,
     trace_distance,
     von_neumann_entropy,
 )
 from pptmerge.classify import fidelity_lower_bound
-from helpers import haar_unitary, random_density
+from pptmerge.core import _pt_array
+from helpers import haar_unitary, random_density, random_separable
 
 _seeds = st.integers(0, 2**32 - 1)
 _dims = st.sampled_from([(2, 2), (2, 3), (3, 2), (2, 2, 2), (2, 3, 2), (2, 2, 2, 2)])
@@ -114,3 +119,37 @@ def test_classify_raises_only_inconsistent_criteria_on_random_states(layout, see
     except InconsistentCriteriaError:
         return
     assert report.verdict in VERDICTS
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims=_dims, rank=st.integers(1, 4), data=st.data(), seed=_seeds)
+def test_partial_transpose_is_an_involution(dims, rank, data, seed):
+    cut = _cut(data, len(dims))
+    rho = random_density(np.random.default_rng(seed), dims, rank=rank)
+    once = partial_transpose(rho, cut)
+    # entries are only permuted, so equality is exact; both sides give the full transpose
+    assert np.array_equal(_pt_array(once, dims, cut.left), rho.data)
+    assert np.array_equal(_pt_array(once, dims, cut.right), rho.data.T)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    dims=st.sampled_from([(2, 2), (2, 3), (3, 3)]),
+    rank=st.integers(2, 9),
+    weight=st.floats(0.0, 1.0),
+    budget=st.sampled_from([300, 2000]),
+    seed=_seeds,
+)
+def test_trace_distance_dual_bound_is_below_every_separable_distance(
+    dims, rank, weight, budget, seed
+):
+    # rho mixes a separable sigma with a random state, so T(rho, sigma) <= weight
+    # and small weights test the bound close to the feasible set
+    rng = np.random.default_rng(seed)
+    sigma = random_separable(rng, *dims)
+    noise = random_density(rng, dims, rank=min(rank, int(np.prod(dims))))
+    rho = DensityMatrix(dims, (1.0 - weight) * sigma.data + weight * noise.data)
+    res = min_trace_distance_ppt(rho, Bipartition((0,), (1,)), PptOptConfig(max_iters=budget))
+    assert res.value - res.gap <= trace_distance(rho, sigma) + 1e-12
+    other = random_separable(rng, *dims)
+    assert res.value - res.gap <= trace_distance(rho, other) + 1e-12

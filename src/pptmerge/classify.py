@@ -12,15 +12,16 @@ no state can do that; seeing it means a bug or a broken tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .bloch import _family_rank
-from .core import TripartiteState, _density_stack, _eigvalsh, _pt_array, partial_transpose
+from .core import TripartiteState, _density_stack, _eigvalsh, _pt_array, _ptrace_array
 from .families import SEP_FAMILY_BLOCKS
-from .measures import _marginal_entropy, conditional_entropy, von_neumann_entropy
+from .measures import _entropy, conditional_entropy
 
 __all__ = [
     "PERFECT",
@@ -90,21 +91,55 @@ class _Spectra(NamedTuple):
     fidelity_lower_bound: float
 
 
+def _a_blocks(state: TripartiteState) -> tuple[np.ndarray, np.ndarray, tuple[int, int, int]]:
+    """rho with its subsystems in A, B, C order viewed as (dA, m, dA, m), with
+    m = dB dC; its dA diagonal blocks as a (dA, m, m) view; and (dA, dB, dC)."""
+    dims = state.dims
+    n = len(dims)
+    parts = (state.a_indices, state.b_indices, state.c_indices)
+    da, db, dc = (math.prod(dims[i] for i in part) for part in parts)
+    order = [i for part in parts for i in part]
+    arr = state.state.data.reshape(dims + dims).transpose(order + [n + i for i in order])
+    arr = arr.reshape(da, db * dc, da, db * dc)
+    return arr, np.diagonal(arr, axis1=0, axis2=2).transpose(2, 0, 1), (da, db, dc)
+
+
 def _spectra(state: TripartiteState) -> _Spectra:
-    rho = state.state
-    a, b, c = state.a_indices, state.b_indices, state.c_indices
-    s_abc = von_neumann_entropy(rho)
-    s_bc = _marginal_entropy(rho, b + c)
-    s_c = _marginal_entropy(rho, c)
-    pt = _eigvalsh(partial_transpose(rho, state.cut_ab_c()))
-    # I(A:C) - I(A:BC), in which S(A) cancels
-    mi_drop = s_c - _marginal_entropy(rho, a + c) - s_bc + s_abc
+    """The six spectra, from a stack of blocks whose direct sum is rho.
+
+    If every entry of rho outside its dA diagonal blocks (A, B, C order) is
+    exactly zero, the state is classical on A and the stack is those blocks,
+    each on (A', B, C) with dims (1, dB, dC).  Otherwise it is the single
+    block rho on (dA, dB, dC).  The AB:C partial transpose and the A and AC
+    marginals act block by block, the BC marginal is the trace over A (the
+    sum of the blocks), and each entropy is taken over the union of the
+    block eigenvalues.  Zero means exactly zero: there is no tolerance, and
+    the two stacks give the same spectra.
+    """
+    arr, blocks, (da, db, dc) = _a_blocks(state)
+    if np.count_nonzero(arr) == np.count_nonzero(blocks):
+        stack, inner = blocks, (1, db, dc)
+    else:
+        stack, inner = arr.reshape(1, da * db * dc, -1), (da, db, dc)
+
+    def entropy(matrices: np.ndarray) -> float:
+        return _entropy(_eigvalsh(matrices))
+
+    s_abc = entropy(stack)
+    ac = _ptrace_array(stack, inner, (0, 2))
+    s_ac = entropy(ac)
+    s_a = entropy(_ptrace_array(ac, inner[::2], (0,)))
+    bc = np.trace(arr, axis1=0, axis2=2)
+    s_bc = entropy(bc)
+    s_c = entropy(_ptrace_array(bc, inner[1:], (1,)))
+    pt = _eigvalsh(_pt_array(stack, inner, (0, 1)))
     return _Spectra(
         conditional_entropy=s_bc - s_c,
-        hashing_a_bc=max(_marginal_entropy(rho, a) - s_abc, s_bc - s_abc),
+        hashing_a_bc=max(s_a - s_abc, s_bc - s_abc),
         log_negativity_ab_c=max(0.0, float(np.log2(np.sum(np.abs(pt))))),
-        min_pt_eigenvalue=float(pt[0]),
-        fidelity_lower_bound=float(2.0 ** (0.5 * mi_drop)),
+        min_pt_eigenvalue=float(pt.min()),
+        # I(A:C) - I(A:BC), in which S(A) cancels
+        fidelity_lower_bound=float(2.0 ** (0.5 * (s_c - s_ac - s_bc + s_abc))),
     )
 
 
@@ -213,22 +248,15 @@ def check_sep_family_obstruction(state: TripartiteState, tol: float = DEFAULT_TO
     b, c = state.b_indices, state.c_indices
     if len(b) != 1 or len(c) != 1 or dims[b[0]] != 2 or dims[c[0]] != 2:
         return fail()
-    da = 1
-    for i in state.a_indices:
-        da *= dims[i]
-    if not SEP_FAMILY_BLOCKS <= da <= 16:
+    if not SEP_FAMILY_BLOCKS <= math.prod(dims[i] for i in state.a_indices) <= 16:
         return fail()
 
-    n = len(dims)
-    order = list(state.a_indices) + list(b) + list(c)
-    perm = order + [n + i for i in order]
-    arr = state.state.data.reshape(dims + dims).transpose(perm).reshape(da, 4, da, 4)
-    block_max = np.abs(arr).max(axis=(1, 3))
-    np.fill_diagonal(block_max, 0.0)
-    if float(block_max.max()) > tol:
+    arr, blocks, (da, _, _) = _a_blocks(state)
+    off = arr.copy()
+    off[range(da), :, range(da), :] = 0.0
+    if float(np.abs(off).max()) > tol:
         return fail()
 
-    blocks = np.einsum("iaib->iab", arr)
     weights = np.trace(blocks, axis1=1, axis2=2).real
     if weights.min() < _OBSTRUCTION_WEIGHT_FLOOR:
         return fail()

@@ -7,6 +7,7 @@ and the flat index of ``(i_0, ..., i_{n-1})`` is the row-major one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -299,14 +300,17 @@ def tensor(a, b, *, max_dim: int = DIMENSION_CAP):
 def _ptrace_array(
     matrix: np.ndarray, dims: Sequence[int], keep: Sequence[int]
 ) -> np.ndarray:
+    """Partial trace of the last two axes; leading axes index a stack."""
     n = len(dims)
-    T = matrix.reshape(tuple(dims) + tuple(dims))
+    lead = matrix.shape[:-2]
+    k = len(lead)
+    T = matrix.reshape(lead + tuple(dims) + tuple(dims))
     remaining = n
     for i in sorted(set(range(n)) - set(keep), reverse=True):
-        T = np.trace(T, axis1=i, axis2=i + remaining)
+        T = np.trace(T, axis1=k + i, axis2=k + i + remaining)
         remaining -= 1
-    Dk = int(np.prod([dims[i] for i in keep]))
-    return T.reshape(Dk, Dk)
+    Dk = math.prod(dims[i] for i in keep)
+    return T.reshape(lead + (Dk, Dk))
 
 
 def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:

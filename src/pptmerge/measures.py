@@ -60,12 +60,17 @@ class WitnessValue:
             raise ValueError(f"unknown direction {self.direction!r}")
 
 
+def _entropy(w: np.ndarray) -> float:
+    """-sum(p log2 p) over the eigenvalues above 1e-12, of any shape: the
+    eigenvalues of a stack of blocks give the entropy of their direct sum."""
+    w = w[w > _ENTROPY_EIG_CUTOFF]
+    return float(-np.sum(w * np.log2(w)))
+
+
 def _marginal_entropy(rho: DensityMatrix, keep: Sequence[int]) -> float:
     """Entropy of the marginal on ``keep``, built without DensityMatrix validation:
     the marginal of a valid state is valid, and validating costs an extra eigh."""
-    w = _eigvalsh(_ptrace_array(rho.data, rho.dims, keep))
-    w = w[w > _ENTROPY_EIG_CUTOFF]
-    return float(-np.sum(w * np.log2(w)))
+    return _entropy(_eigvalsh(_ptrace_array(rho.data, rho.dims, keep)))
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

@@ -83,6 +83,27 @@ def entropy_bits(eigenvalues):
     return float(-(p * np.log2(p)).sum())
 
 
+def report_numbers(state):
+    """Conditional entropy S(BC) - S(C), hashing witness across A:BC,
+    log-negativity across AB:C and the fidelity lower bound of a tripartite
+    state, from einsum marginals and partial transposes."""
+    rho, dims = state.state.data, state.dims
+    a, b, c = state.a_indices, state.b_indices, state.c_indices
+
+    def s(keep):
+        return entropy_bits(np.linalg.eigvalsh(partial_trace_einsum(rho, dims, sorted(keep))))
+
+    pt = np.linalg.eigvalsh(partial_transpose_einsum(rho, dims, a + b))
+    i_ac = s(a) + s(c) - s(a + c)
+    i_abc = s(a) + s(b + c) - s(a + b + c)
+    return (
+        s(b + c) - s(c),
+        max(s(a), s(b + c)) - s(a + b + c),
+        max(0.0, float(np.log2(np.abs(pt).sum()))),
+        2.0 ** ((i_ac - i_abc) / 2),
+    )
+
+
 _PAULIS = (
     np.eye(2, dtype=complex),
     np.array([[0, 1], [1, 0]], dtype=complex),

@@ -40,12 +40,7 @@ from pptmerge.classify import (
     VERDICTS,
 )
 from helpers import haar_unitary, random_density, random_separable, random_tripartite
-from oracles import (
-    entropy_bits,
-    partial_trace_einsum,
-    partial_transpose_einsum,
-    sep_family_obstruction,
-)
+from oracles import report_numbers, sep_family_obstruction
 
 
 def _free_merge_state():
@@ -203,27 +198,36 @@ def test_sep_family_obstruction_matches_block_oracle():
 
 
 def test_classify_checks_sep_family_blocks_as_one_stack(monkeypatch):
-    # the six spectra, one batched eigh validating the 15 blocks and one
-    # batched eigvalsh of their B:C partial transposes; no DensityMatrix per block
+    # the state is classical on A, so the six spectra come from its 15 diagonal
+    # blocks; the obstruction check adds one batched eigh validating the blocks
+    # and one batched eigvalsh of their B:C partial transposes; no DensityMatrix
+    # per block, and no eigendecomposition sees a matrix larger than 4x4
     state = sep_no_merge_family(11)
-    calls = {"eig": 0, "density": 0}
+    shapes = []
+    calls = {"density": 0}
 
-    def counting(fn, key):
+    def recording(fn):
+        def wrapped(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return fn(a, *args, **kwargs)
+
+        return wrapped
+
+    def counting(fn):
         def wrapped(*args, **kwargs):
-            calls[key] += 1
+            calls["density"] += 1
             return fn(*args, **kwargs)
 
         return wrapped
 
-    monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh, "eig"))
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh, "eig"))
-    monkeypatch.setattr(
-        DensityMatrix, "__post_init__", counting(DensityMatrix.__post_init__, "density")
-    )
+    monkeypatch.setattr(np.linalg, "eigh", recording(np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording(np.linalg.eigvalsh))
+    monkeypatch.setattr(DensityMatrix, "__post_init__", counting(DensityMatrix.__post_init__))
     report = classify(state)
     assert report.verdict == NO_PERFECT_MERGE
     assert report.criteria[-1].witness == 15.0
-    assert calls["eig"] <= 8
+    assert len(shapes) <= 8
+    assert max(shape[-1] for shape in shapes) <= 4, shapes
     assert calls["density"] == 0
 
 
@@ -290,24 +294,6 @@ def test_classify_runs_six_eigendecompositions(monkeypatch):
         assert calls["n"] == 6
 
 
-def _oracle_report_numbers(state):
-    rho, dims = state.state.data, state.dims
-    a, b, c = state.a_indices, state.b_indices, state.c_indices
-
-    def s(keep):
-        return entropy_bits(np.linalg.eigvalsh(partial_trace_einsum(rho, dims, sorted(keep))))
-
-    pt = np.linalg.eigvalsh(partial_transpose_einsum(rho, dims, a + b))
-    i_ac = s(a) + s(c) - s(a + c)
-    i_abc = s(a) + s(b + c) - s(a + b + c)
-    return (
-        s(b + c) - s(c),
-        max(s(a), s(b + c)) - s(a + b + c),
-        max(0.0, float(np.log2(np.abs(pt).sum()))),
-        2.0 ** ((i_ac - i_abc) / 2),
-    )
-
-
 def test_witnesses_match_oracle_on_permuted_party_layouts():
     rng = np.random.default_rng(191)
     layouts = [((2, 2, 2, 2), (0, 3), (2,), (1,)), ((3, 2, 2), (2,), (0,), (1,))]
@@ -321,7 +307,7 @@ def test_witnesses_match_oracle_on_permuted_party_layouts():
                 report.witnesses["log_negativity_ab_c"],
                 report.fidelity_lower_bound,
             )
-            np.testing.assert_allclose(got, _oracle_report_numbers(state), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got, report_numbers(state), rtol=0, atol=1e-12)
 
 
 def test_fidelity_lower_bound_range_and_values():

@@ -1,10 +1,12 @@
 """Hypothesis properties of the partial transpose, measures, witnesses, classifier
-and trace-distance dual bound.
+(on general states and on states classical on A) and trace-distance dual bound.
 
 Hypothesis draws the layouts, ranks and seeds; numpy draws the states.
 """
 
+from contextlib import contextmanager
 from functools import reduce
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -33,6 +35,7 @@ from pptmerge import (
 from pptmerge.classify import fidelity_lower_bound
 from pptmerge.core import _pt_array
 from helpers import haar_unitary, random_density, random_separable
+from oracles import report_numbers
 
 _seeds = st.integers(0, 2**32 - 1)
 _dims = st.sampled_from([(2, 2), (2, 3), (3, 2), (2, 2, 2), (2, 3, 2), (2, 2, 2, 2)])
@@ -153,3 +156,131 @@ def test_trace_distance_dual_bound_is_below_every_separable_distance(
     assert res.value - res.gap <= trace_distance(rho, sigma) + 1e-12
     other = random_separable(rng, *dims)
     assert res.value - res.gap <= trace_distance(rho, other) + 1e-12
+
+
+@st.composite
+def _classical_on_a(draw):
+    """A's dims (a flag register or two subsystems), dB, dC, where each
+    subsystem sits in the layout (A first or not), whether the blocks may be
+    singular, and a numpy seed."""
+    a_dims = draw(st.one_of(
+        st.integers(2, 6).map(lambda d: (d,)), st.sampled_from([(2, 2), (2, 3), (3, 2)])
+    ))
+    db, dc = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    position = draw(st.permutations(range(len(a_dims) + 2)))
+    return a_dims, db, dc, position, draw(st.booleans()), draw(_seeds)
+
+
+def _flags(rng, da, m, singular):
+    """sum_i p_i |i><i| (x) sigma_i as a (da m) x (da m) matrix in A, BC order,
+    with random PSD blocks: of full rank and positive weight, or, if
+    ``singular``, of random rank and with some weights zero."""
+    weights = rng.random(da) + 0.1
+    if singular:
+        weights *= rng.random(da) > 0.3
+        weights[rng.integers(da)] += 0.5
+    mat = np.zeros((da * m, da * m), dtype=complex)
+    for i, w in enumerate(weights):
+        g = rng.standard_normal((m, rng.integers(1, m + 1) if singular else m))
+        g = g + 1j * rng.standard_normal(g.shape)
+        block = g @ g.conj().T
+        mat[i * m : (i + 1) * m, i * m : (i + 1) * m] = w * block / np.trace(block).real
+    return mat / weights.sum()
+
+
+def _laid_out(mat, dims_abc, n_a, position):
+    """A tripartite state from a matrix in A, B, C order, with subsystem k of
+    that order moved to ``position[k]``."""
+    n = len(dims_abc)
+    source = [0] * n
+    for k, j in enumerate(position):
+        source[j] = k
+    tensor = mat.reshape(dims_abc * 2).transpose(source + [n + k for k in source])
+    D = mat.shape[0]
+    rho = DensityMatrix(tuple(dims_abc[k] for k in source), tensor.reshape(D, D))
+    return TripartiteState(rho, position[:n_a], (position[n_a],), (position[n_a + 1],))
+
+
+def _off_a_blocks(state):
+    """The entries of the validated state outside its diagonal blocks in A."""
+    dims, n = state.dims, len(state.dims)
+    order = [*state.a_indices, *state.b_indices, *state.c_indices]
+    da = int(np.prod([dims[i] for i in state.a_indices]))
+    m = state.state.dim // da
+    arr = state.state.data.reshape(dims * 2).transpose(order + [n + i for i in order])
+    off = arr.reshape(da, m, da, m).copy()
+    off[range(da), :, range(da), :] = 0.0
+    return off
+
+
+@contextmanager
+def _eigvalsh_sizes():
+    """The matrix size of every ``np.linalg.eigvalsh`` call inside the block."""
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        sizes.append(np.shape(a)[-1])
+        return eigvalsh(a, *args, **kwargs)
+
+    with mock.patch.object(np.linalg, "eigvalsh", recording):
+        yield sizes
+
+
+def _report_values(report):
+    return [
+        report.witnesses["conditional_entropy"],
+        report.witnesses["hashing_a_bc"],
+        report.witnesses["log_negativity_ab_c"],
+        report.fidelity_lower_bound,
+        *(c.witness for c in report.criteria[:4]),
+    ]
+
+
+def _oracle_values(state):
+    # the four spectral criteria read the conditional entropy, the hashing
+    # witness twice and the hashing witness minus the log-negativity
+    ce, hashing, log_neg, fid = report_numbers(state)
+    return [ce, hashing, log_neg, fid, ce, hashing, hashing, hashing - log_neg]
+
+
+def _check_against_oracle(state, oracle, largest):
+    with _eigvalsh_sizes() as sizes:
+        report = classify(state)
+    assert max(sizes) == largest, sizes
+    np.testing.assert_allclose(_report_values(report), oracle, rtol=0, atol=1e-12)
+    return report
+
+
+@settings(max_examples=60, deadline=None)
+@given(layout=_classical_on_a())
+def test_spectra_of_states_classical_on_a_match_oracle_and_a_rotation(layout):
+    # block diagonal in A: every spectrum comes from blocks of at most dB dC;
+    # a random unitary on A mixes the blocks and forces the single D x D block
+    a_dims, db, dc, position, singular, seed = layout
+    rng = np.random.default_rng(seed)
+    da, m = int(np.prod(a_dims)), db * dc
+    dims_abc = a_dims + (db, dc)
+    mat = _flags(rng, da, m, singular)
+    u = np.kron(haar_unitary(rng, da), np.eye(m))
+    state = _laid_out(mat, dims_abc, len(a_dims), position)
+    rotated = _laid_out(u @ mat @ u.conj().T, dims_abc, len(a_dims), position)
+    # validation rebuilds a state with an eigenvalue in [-1e-9, 0) from its
+    # eigenvectors, which can leave rounding-sized entries off the blocks
+    classical = not _off_a_blocks(state).any()
+    assert classical or singular
+    oracle = _oracle_values(state)
+    report = _check_against_oracle(state, oracle, m if classical else da * m)
+    report_u = _check_against_oracle(rotated, oracle, da * m)
+    assert report_u.verdict == report.verdict
+    assert [c.holds for c in report_u.criteria] == [c.holds for c in report.criteria]
+
+
+def test_one_tiny_entry_off_the_a_blocks_takes_the_single_block():
+    # a 1e-300 coherence between A levels 0 and 2 breaks the exact block structure
+    mat = _flags(np.random.default_rng(199), 3, 4, singular=False)
+    mat[1, 9] = 1e-300
+    state = _laid_out(mat, (3, 2, 2), 1, (0, 1, 2))
+    off = _off_a_blocks(state)
+    assert np.count_nonzero(off) == 2 and np.abs(off).max() == 0.5e-300
+    _check_against_oracle(state, _oracle_values(state), 12)

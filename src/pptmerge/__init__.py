@@ -63,14 +63,13 @@ from .measures import (
     von_neumann_entropy,
 )
 from .pptopt import (
-    OPT_DIMENSION_CAP,
+    OPT_SCHUR_CAP,
     GeoDistResult,
     PptOptConfig,
     PptOptResult,
     geometric_distillability_ppt,
     max_overlap_ppt,
     min_trace_distance_ppt,
-    project_ppt_state,
 )
 from .stateio import dumps_state, load_state, loads_state, save_state
 
@@ -110,14 +109,13 @@ __all__ = [
     "robust_vanishing_family",
     "sep_no_merge_family",
     # optimisers
-    "OPT_DIMENSION_CAP",
+    "OPT_SCHUR_CAP",
     "GeoDistResult",
     "PptOptConfig",
     "PptOptResult",
     "geometric_distillability_ppt",
     "max_overlap_ppt",
     "min_trace_distance_ppt",
-    "project_ppt_state",
     # classification
     "INCONCLUSIVE",
     "NO_PERFECT_MERGE",

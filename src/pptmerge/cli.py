@@ -263,9 +263,12 @@ def _cmd_overlap(args) -> int:
 
 
 def _add_opt_flags(parser: argparse.ArgumentParser) -> None:
+    defaults = PptOptConfig()
     parser.add_argument("--cut", help="bipartition, e.g. AB:C or 0,1:2")
-    parser.add_argument("--tol", type=float, default=1e-7, help="optimiser tolerance")
-    parser.add_argument("--max-iters", type=int, default=5000, help="sweep budget")
+    parser.add_argument("--tol", type=float, default=defaults.tol, help="optimiser tolerance")
+    parser.add_argument(
+        "--max-iters", type=int, default=defaults.max_iters, help="iteration budget"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -85,7 +85,9 @@ def _density_stack(stack: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"matrix is not positive semidefinite: min eigenvalue {low.min():.3e}"
         )
-    clamp = low < 0.0
+    # eigenvalues within rounding of zero (D eps max|lambda|) leave the bits as given
+    scale = arr.shape[-1] * np.finfo(float).eps * np.abs(w).max(axis=1)
+    clamp = low < -scale
     if clamp.any():
         V = V[clamp]
         fixed = _herm((V * np.clip(w[clamp], 0.0, None)[:, None, :]) @ _dag(V))
@@ -115,8 +117,11 @@ class DensityMatrix:
         Complex square matrix of size ``prod(dims)``.  It must be Hermitian
         to within 1e-10 (max entry deviation), have unit trace to within
         1e-10, and be positive semidefinite up to an eigenvalue floor of
-        -1e-9.  Eigenvalues in ``[-1e-9, 0)`` are clamped to zero and the
-        matrix is renormalised; spectra below the floor are rejected.
+        -1e-9.  A matrix that is PSD up to rounding, with no eigenvalue
+        below ``-D eps max|lambda|``, is kept bit for bit (so exact zeros
+        stay zero); otherwise eigenvalues in ``[-1e-9, 0)`` are clamped to
+        zero and the matrix is renormalised.  Spectra below the floor are
+        rejected.
 
     The stored array is a read-only copy, so instances are immutable.
     """

@@ -43,9 +43,12 @@ def best_product_overlap(amplitudes, rng, restarts=24, iters=400, tol=1e-13):
     return best
 
 
-def schmidt_overlap(amplitudes):
-    """Largest squared Schmidt coefficient of a two-qubit pure state."""
-    mat = np.asarray(amplitudes, dtype=complex).reshape(2, 2)
+def schmidt_overlap(amplitudes, dims=(2, 2), left=(0,)):
+    """Largest squared Schmidt coefficient of a pure state across the cut
+    ``left`` | rest (by default a two-qubit state across its two qubits)."""
+    right = [i for i in range(len(dims)) if i not in left]
+    tensor = np.asarray(amplitudes, dtype=complex).reshape(dims)
+    mat = tensor.transpose(list(left) + right).reshape(int(np.prod([dims[i] for i in left])), -1)
     s = np.linalg.svd(mat, compute_uv=False)
     return float(s[0] ** 2)
 

@@ -260,7 +260,8 @@ def test_geodist_bell_pair(tmp_path, capsys):
     captured = capsys.readouterr()
     value = float(captured.out.strip())
     assert abs(value - 0.29289321881345254) < 1e-3
-    assert "converged=True gap=inf" in captured.err  # pure: the overlap solver, no dual
+    gap = float(captured.err.split("gap=")[1].split()[0])
+    assert "converged=True" in captured.err and 0.0 <= gap <= 1e-7  # the overlap's dual
 
 
 def test_geodist_tripartite_defaults_to_ab_c(tmp_path, capsys):
@@ -316,6 +317,22 @@ def test_overlap_dimension_cap_exit_code(tmp_path, capsys):
     capsys.readouterr()
     assert main(["overlap", str(big), "--cut", "0,1,2:3,4,5,6"]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        # D = 42 pure: 42^2 - 1 = 1763 Schur rows
+        ("overlap", {"dims": [6, 7], "amplitudes": [[1.0, 0.0]] + [[0.0, 0.0]] * 41}),
+        # D = 30 mixed: 2 * 30^2 - 1 = 1799 Schur rows
+        ("geodist", {"dims": [5, 6], "matrix": [[v / 30, 0.0] for v in np.eye(30).ravel()]}),
+    ],
+)
+def test_optimisers_exit_3_just_above_the_schur_row_cap(tmp_path, capsys, command, payload):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"format_version": 1, **payload}))
+    assert main([command, str(path), "--cut", "0:1"]) == 3
+    assert "Schur rows" in capsys.readouterr().err
 
 
 def test_version_flag(capsys):

@@ -1,12 +1,10 @@
 """Optimisers over the PPT-constrained state set."""
 
-import math
-import warnings
-
 import numpy as np
 import pytest
 
 from pptmerge import (
+    OPT_SCHUR_CAP,
     Bipartition,
     DensityMatrix,
     GeoDistResult,
@@ -19,22 +17,18 @@ from pptmerge import (
     is_ppt,
     max_overlap_ppt,
     min_trace_distance_ppt,
-    project_ppt_state,
     tensor,
     trace_distance,
 )
-from pptmerge import pptopt
+from pptmerge.core import _pt_array
+from pptmerge.pptopt import _Coords
 from pptmerge.families import phi_plus, robust_vanishing_family
-from pptmerge.pptopt import _feasible_at_level
-from helpers import random_pure, random_separable
+from helpers import random_density, random_pure
 from oracles import best_product_overlap, schmidt_overlap
 
 CUT01 = Bipartition((0,), (1,))
+TOL = PptOptConfig().tol
 
-# Frobenius projection of |phi+><phi+| onto the two-qubit PPT set, by hand:
-# the projection is the isotropic mixture at weight 2/3, at distance
-# 1/sqrt(3) and overlap exactly 1/2.
-PROJ_DIST_PHI = 0.5773502691896258
 # 1 - sqrt(1/2), the geometric distillability of one Bell pair
 GEODIST_PHI = 0.29289321881345254
 
@@ -61,45 +55,6 @@ def test_config_validation():
         PptOptConfig(tol=0.0)
 
 
-def test_project_ppt_state_bell_pair():
-    rho = phi_plus().to_density()
-    proj = project_ppt_state(rho.data, (2, 2), cut=CUT01)
-    dist = float(np.linalg.norm(proj.data - rho.data))
-    assert abs(dist - PROJ_DIST_PHI) < 1e-6
-    assert is_ppt(proj, CUT01, tol=1e-6)
-    overlap = float(np.real(np.trace(proj.data @ rho.data)))
-    assert abs(overlap - 0.5) < 1e-6
-
-
-def test_project_ppt_state_fixed_points():
-    eye = np.eye(4) / 4
-    np.testing.assert_allclose(
-        project_ppt_state(eye, (2, 2), cut=CUT01).data, eye, atol=1e-8
-    )
-    rng = np.random.default_rng(139)
-    sep = random_separable(rng, 2, 2)
-    np.testing.assert_allclose(
-        project_ppt_state(sep.data, (2, 2), cut=CUT01).data, sep.data, atol=1e-6
-    )
-
-
-def test_project_ppt_state_validation():
-    with pytest.raises(ValueError, match="Hermitian"):
-        project_ppt_state(np.triu(np.ones((4, 4))), (2, 2), cut=CUT01)
-    with pytest.raises(ValueError, match="shape"):
-        project_ppt_state(np.eye(8) / 8, (2, 2), cut=CUT01)
-    with pytest.raises(TypeError, match="cut"):
-        project_ppt_state(np.eye(4) / 4, (2, 2))
-
-
-@pytest.mark.parametrize("m", [np.full((4, 4), np.nan), np.diag([np.inf, 0.0, 0.0, 0.0])])
-def test_project_ppt_state_rejects_non_finite(m):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="finite"):
-            project_ppt_state(m, (2, 2), cut=CUT01)
-
-
 def test_max_overlap_bell_pair():
     res = max_overlap_ppt(phi_plus(), cut=CUT01)
     assert isinstance(res, PptOptResult)
@@ -112,7 +67,8 @@ def test_max_overlap_bell_pair():
     )
     assert abs(direct - res.value) < 1e-12  # value is read off the certificate
     assert max(res.residuals.values()) <= 1e-6
-    assert res.gap == math.inf  # no dual bound for the overlap yet
+    # the dual bound lambda_max(P + Z^Gamma) closes on 1/2 from above
+    assert 0.0 <= res.gap <= TOL and res.value <= 0.5 <= res.value + res.gap
 
 
 def test_max_overlap_product_state_reaches_one():
@@ -124,11 +80,44 @@ def test_max_overlap_product_state_reaches_one():
     assert res.value > 1.0 - 1e-5
 
 
-def test_max_overlap_history_is_monotone_within_tol():
-    res = max_overlap_ppt(phi_plus(), cut=CUT01)
-    h = res.objective_history
-    assert len(h) >= 2
-    assert all(b >= a - 1e-6 for a, b in zip(h, h[1:]))
+def _interior_margins(res, cut):
+    """Least eigenvalues of the certificate and of its partial transpose."""
+    sigma = res.certificate
+    return (
+        np.linalg.eigvalsh(sigma.data)[0],
+        np.linalg.eigvalsh(_pt_array(sigma.data, sigma.dims, cut.left))[0],
+    )
+
+
+@pytest.mark.parametrize("real", [False, True])
+def test_schur_matrix_matches_its_definition(real):
+    # Re Tr(B_i X B_j Y) over the basis, and over its partial transposes
+    rng = np.random.default_rng(233)
+    dims = (2, 3)
+    coords = _Coords(dims, (0,), real)
+    basis = coords.mat(np.eye(coords.n))
+    g = rng.standard_normal((2, 6, 6)) + (0 if real else 1j) * rng.standard_normal((2, 6, 6))
+    X, Y = g @ g.conj().transpose(0, 2, 1)
+    for transposed, B in ((0, basis), (1, _pt_array(basis, dims, (0,)))):
+        expected = np.einsum("iab,bc,jcd,da->ij", B, X, B, Y).real
+        got = np.empty_like(expected)
+        coords.schur([(X, Y, transposed)], got)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+
+def test_certificates_are_unit_trace_states_feasible_to_rounding():
+    # sigma is I/D plus traceless coordinates, and the certificate is an
+    # iterate or the point where a predictor step meets the cone boundary,
+    # so it needs no polishing
+    rng = np.random.default_rng(211)
+    cut = Bipartition((0,), (1, 2))
+    for res in (
+        max_overlap_ppt(random_pure(rng, (2, 2, 2)), cut),
+        min_trace_distance_ppt(random_density(rng, (2, 2, 2), rank=2), cut),
+    ):
+        assert res.converged
+        assert max(res.residuals.values()) <= 1e-15
+        assert min(_interior_margins(res, cut)) >= -1e-15
 
 
 def test_max_overlap_budget_exhaustion_still_feasible():
@@ -145,15 +134,39 @@ def test_max_overlap_dimension_cap():
         max_overlap_ppt(psi, cut=Bipartition.of((0, 1, 2), 7))
 
 
-def test_level_set_probe():
-    psi = phi_plus()
-    P = np.outer(psi.amplitudes, psi.amplitudes.conj())
-    start = np.eye(4, dtype=complex) / 4
-    ok, point, _ = _feasible_at_level(P, (2, 2), (0,), 0.4, start, 1e-7, 4000)
-    assert ok
-    assert float(np.real(np.sum(P.conj() * point))) >= 0.4 - 1e-5
-    bad, _, _ = _feasible_at_level(P, (2, 2), (0,), 0.7, start, 1e-7, 4000)
-    assert not bad
+@pytest.mark.parametrize(
+    "dims, left", [((2, 3), (0,)), ((3, 3), (0,)), ((2, 2, 2), (0, 1)), ((2, 2, 2, 2), (0, 2))]
+)
+def test_max_overlap_brackets_the_schmidt_value(dims, left):
+    # the maximum is s_1^2, the largest squared Schmidt coefficient across the cut
+    psi = random_pure(np.random.default_rng(223), dims)
+    res = max_overlap_ppt(psi, Bipartition.of(left, len(dims)))
+    exact = schmidt_overlap(psi.amplitudes, dims, left)
+    assert res.converged and 0.0 <= res.gap <= TOL
+    assert res.value - 1e-12 <= exact <= res.value + res.gap + 1e-12
+
+
+def test_real_inputs_match_their_complex_rotations():
+    # a real target runs on real coordinates; a local diagonal phase makes it
+    # complex without changing the optimum
+    rng = np.random.default_rng(227)
+    phases = np.kron(np.exp(1j * rng.uniform(0, 2 * np.pi, 3)), np.ones(3))
+    rho = random_density(rng, (3, 3), rank=2).data.real
+    rho = rho / np.trace(rho)
+    amps = rng.standard_normal(9)
+    amps /= np.linalg.norm(amps)
+    for solve, real, rotated in (
+        (max_overlap_ppt, PureState((3, 3), amps), PureState((3, 3), phases * amps)),
+        (
+            min_trace_distance_ppt,
+            DensityMatrix((3, 3), rho),
+            DensityMatrix((3, 3), phases[:, None] * rho * phases.conj()[None, :]),
+        ),
+    ):
+        a, b = solve(real, CUT01), solve(rotated, CUT01)
+        assert not a.certificate.data.imag.any() and b.certificate.data.imag.any()
+        assert a.converged and b.converged
+        assert abs(a.value - b.value) <= 2 * TOL
 
 
 def test_max_overlap_agrees_with_product_search():
@@ -181,9 +194,8 @@ def test_min_trace_distance_bell_pair():
     assert is_ppt(res.certificate, CUT01, tol=1e-6)
     direct = trace_distance(phi_plus().to_density(), res.certificate)
     assert abs(direct - res.value) < 1e-9
-    h = res.objective_history
-    assert all(b <= a + 1e-6 for a, b in zip(h, h[1:]))
-    assert res.converged and 0.0 <= res.gap <= PptOptConfig().tol
+    assert res.converged and 0.0 <= res.gap <= TOL
+    assert res.value - res.gap <= 0.5 <= res.value + 1e-12
 
 
 @pytest.mark.parametrize(
@@ -196,32 +208,44 @@ def test_min_trace_distance_bell_pair():
     ],
 )
 def test_trace_distance_dual_certifies_symmetric_states_early(rho, exact):
-    # the first projection is already optimal; without the dual bound the
-    # solver spent 800-1,500 sweeps on 100 stalled steps before stopping
+    # T is f - 1/d (isotropic) or p - 1/2 (Werner); the value and the dual
+    # bound meet it from either side
     res = min_trace_distance_ppt(rho, cut=CUT01)
     assert res.converged and 0.0 <= res.gap <= PptOptConfig().tol
     assert res.iterations <= 60
     assert abs(res.value - exact) < 1e-6
 
 
-def test_trace_distance_exits_without_a_certified_gap_are_not_converged(monkeypatch):
-    # either way only the trivial bound T >= 0 is left, so the gap is the value
+def test_trace_distance_exits_without_a_certified_gap_are_not_converged():
+    # three iterations leave a bracket far wider than tol, but both ends hold
     rho = phi_plus().to_density()
     res = min_trace_distance_ppt(rho, CUT01, PptOptConfig(max_iters=3))
-    assert res.iterations == 3  # budget spent on the first projection
-    assert not res.converged and res.gap == res.value
-    # with no usable bound the loop leaves on 100 stalled steps, inside the budget
-    monkeypatch.setattr(pptopt, "_trace_distance_dual", lambda *args: -math.inf)
-    res = min_trace_distance_ppt(rho, cut=CUT01)
-    assert res.iterations < PptOptConfig().max_iters
-    assert not res.converged and res.gap == res.value
-    assert abs(res.value - 0.5) < 1e-3
+    assert res.iterations == 3
+    assert not res.converged and res.gap > 1e3 * TOL
+    assert res.value - res.gap <= 0.5 <= res.value + 1e-12
+    assert res.value == trace_distance(rho, res.certificate)
 
 
 def test_min_trace_distance_dimension_cap():
     big = DensityMatrix((2,) * 7, np.eye(128) / 128)
     with pytest.raises(SizeLimitError):
         min_trace_distance_ppt(big, cut=Bipartition.of((0,), 7))
+
+
+@pytest.mark.parametrize(
+    "state, rows",
+    [
+        (PureState((6, 7), np.eye(42)[0]), 42**2 - 1),
+        (DensityMatrix((5, 6), np.eye(30) / 30), 2 * 30**2 - 1),
+    ],
+)
+def test_schur_row_cap_is_checked_before_any_work(state, rows):
+    # the smallest sizes past the cap: D^2 - 1 rows for a pure target and
+    # 2 D^2 - 1 for a mixed one; D = 40 and D = 28 (the next sizes down) fit
+    assert 40**2 - 1 <= OPT_SCHUR_CAP and 2 * 28**2 - 1 <= OPT_SCHUR_CAP < rows
+    solve = max_overlap_ppt if isinstance(state, PureState) else min_trace_distance_ppt
+    with pytest.raises(SizeLimitError, match=f"{rows} Schur rows"):
+        solve(state, Bipartition((0,), (1,)))
 
 
 def test_geodist_pure_bell_pair():

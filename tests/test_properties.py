@@ -1,5 +1,6 @@
 """Hypothesis properties of the partial transpose, measures, witnesses, classifier
-(on general states and on states classical on A) and trace-distance dual bound.
+(on general states and on states classical on A), the trace-distance dual bound
+and the overlap bracket.
 
 Hypothesis draws the layouts, ranks and seeds; numpy draws the states.
 """
@@ -18,6 +19,7 @@ from pptmerge import (
     DensityMatrix,
     InconsistentCriteriaError,
     PptOptConfig,
+    PureState,
     TripartiteState,
     classify,
     conditional_entropy,
@@ -25,6 +27,7 @@ from pptmerge import (
     hashing_witness,
     is_ppt,
     log_negativity,
+    max_overlap_ppt,
     mutual_information,
     min_trace_distance_ppt,
     negativity_witness,
@@ -35,7 +38,7 @@ from pptmerge import (
 from pptmerge.classify import fidelity_lower_bound
 from pptmerge.core import _pt_array
 from helpers import haar_unitary, random_density, random_separable
-from oracles import report_numbers
+from oracles import report_numbers, schmidt_overlap
 
 _seeds = st.integers(0, 2**32 - 1)
 _dims = st.sampled_from([(2, 2), (2, 3), (3, 2), (2, 2, 2), (2, 3, 2), (2, 2, 2, 2)])
@@ -158,6 +161,29 @@ def test_trace_distance_dual_bound_is_below_every_separable_distance(
     assert res.value - res.gap <= trace_distance(rho, other) + 1e-12
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    layout=st.sampled_from(
+        [((2, 2), (0,)), ((2, 3), (0,)), ((3, 3), (0,)), ((2, 2, 2), (0,)), ((2, 2, 2), (0, 1))]
+    ),
+    real=st.booleans(),
+    seed=_seeds,
+)
+def test_overlap_bracket_contains_the_schmidt_value(layout, real, seed):
+    # [value, value + gap] must hold s_1^2: value is the overlap of a feasible
+    # certificate and value + gap is lambda_max(P + Z^Gamma) for some Z >= 0
+    dims, left = layout
+    rng = np.random.default_rng(seed)
+    amps = rng.standard_normal(int(np.prod(dims))) + (0 if real else 1j) * rng.standard_normal(
+        int(np.prod(dims))
+    )
+    amps /= np.linalg.norm(amps)
+    res = max_overlap_ppt(PureState(dims, amps), Bipartition.of(left, len(dims)))
+    exact = schmidt_overlap(amps, dims, left)
+    assert res.converged and res.gap <= PptOptConfig().tol
+    assert res.value - 1e-12 <= exact <= res.value + res.gap + 1e-12
+
+
 @st.composite
 def _classical_on_a(draw):
     """A's dims (a flag register or two subsystems), dB, dC, where each
@@ -265,12 +291,11 @@ def test_spectra_of_states_classical_on_a_match_oracle_and_a_rotation(layout):
     u = np.kron(haar_unitary(rng, da), np.eye(m))
     state = _laid_out(mat, dims_abc, len(a_dims), position)
     rotated = _laid_out(u @ mat @ u.conj().T, dims_abc, len(a_dims), position)
-    # validation rebuilds a state with an eigenvalue in [-1e-9, 0) from its
-    # eigenvectors, which can leave rounding-sized entries off the blocks
-    classical = not _off_a_blocks(state).any()
-    assert classical or singular
+    # validation keeps a state that is PSD up to rounding bit for bit, so the
+    # zeros off the A blocks survive even with singular blocks
+    assert not _off_a_blocks(state).any()
     oracle = _oracle_values(state)
-    report = _check_against_oracle(state, oracle, m if classical else da * m)
+    report = _check_against_oracle(state, oracle, m)
     report_u = _check_against_oracle(rotated, oracle, da * m)
     assert report_u.verdict == report.verdict
     assert [c.holds for c in report_u.criteria] == [c.holds for c in report.criteria]
@@ -284,3 +309,22 @@ def test_one_tiny_entry_off_the_a_blocks_takes_the_single_block():
     off = _off_a_blocks(state)
     assert np.count_nonzero(off) == 2 and np.abs(off).max() == 0.5e-300
     _check_against_oracle(state, _oracle_values(state), 12)
+
+
+def test_singular_states_classical_on_a_keep_the_block_path():
+    # rank-deficient blocks and zero weights put eigenvalues at rounding level
+    # below zero; validation must not rebuild those states from eigenvectors,
+    # which spread rounding-sized entries off the A blocks (117 of these 120
+    # states lost the block path that way)
+    rng = np.random.default_rng(229)
+    for a_dims in [(2,), (3,), (5,), (2, 2), (3, 2)]:
+        n = len(a_dims) + 2
+        for db, dc in [(2, 2), (2, 3), (3, 2)]:
+            # A never first: after C, or with its first subsystem last
+            for position in [[*range(1, n), 0], [n - 1, *range(n - 1)]]:
+                for _ in range(4):
+                    da, m = int(np.prod(a_dims)), db * dc
+                    mat = _flags(rng, da, m, singular=True)
+                    state = _laid_out(mat, a_dims + (db, dc), len(a_dims), position)
+                    assert not _off_a_blocks(state).any(), (a_dims, db, dc, position)
+                    _check_against_oracle(state, _oracle_values(state), m)

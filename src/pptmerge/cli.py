@@ -212,10 +212,6 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _opt_config(args) -> PptOptConfig:
-    return PptOptConfig(max_iters=args.max_iters, tol=args.tol)
-
-
 def _opt_target(state) -> PureState | DensityMatrix:
     return state.state if isinstance(state, TripartiteState) else state
 
@@ -240,7 +236,8 @@ def _print_diagnostics(result) -> None:
 def _cmd_geodist(args) -> int:
     state = load_state(args.state)
     cut = _opt_cut(args, state)
-    result = geometric_distillability_ppt(_opt_target(state), cut, _opt_config(args))
+    config = PptOptConfig(max_iters=args.max_iters, tol=args.tol)
+    result = geometric_distillability_ppt(_opt_target(state), cut, config)
     if result.low == result.high:
         print(_fmt(result.low))
     else:
@@ -256,19 +253,10 @@ def _cmd_overlap(args) -> int:
     psi = _as_pure(target)
     if psi is None:
         raise ValueError(f"expected a pure state, got purity {target.purity():.6f}")
-    result = max_overlap_ppt(psi, cut, _opt_config(args))
+    result = max_overlap_ppt(psi, cut)
     print(_fmt(result.value))
     _print_diagnostics(result)
     return 0
-
-
-def _add_opt_flags(parser: argparse.ArgumentParser) -> None:
-    defaults = PptOptConfig()
-    parser.add_argument("--cut", help="bipartition, e.g. AB:C or 0,1:2")
-    parser.add_argument("--tol", type=float, default=defaults.tol, help="optimiser tolerance")
-    parser.add_argument(
-        "--max-iters", type=int, default=defaults.max_iters, help="iteration budget"
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -308,12 +296,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("geodist", help="geometric distillability across a cut")
     p.add_argument("state")
-    _add_opt_flags(p)
+    p.add_argument("--cut", help="bipartition, e.g. AB:C or 0,1:2")
+    p.add_argument("--tol", type=float, default=PptOptConfig.tol, help="optimiser tolerance")
+    p.add_argument(
+        "--max-iters", type=int, default=PptOptConfig.max_iters, help="iteration budget"
+    )
     p.set_defaults(func=_cmd_geodist)
 
     p = sub.add_parser("overlap", help="best overlap of a pure target with the PPT set")
     p.add_argument("state")
-    _add_opt_flags(p)
+    p.add_argument("--cut", help="bipartition, e.g. AB:C or 0,1:2")
     p.set_defaults(func=_cmd_overlap)
 
     return parser

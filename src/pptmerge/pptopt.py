@@ -4,14 +4,15 @@ The feasible set is
 
     F(cut) = { sigma : sigma >= 0, sigma^{T_cut} >= 0, Tr sigma = 1 }
 
-Both optimisers are semidefinite programs over F(cut), solved by one dense
-primal-dual interior-point kernel (:func:`_interior_point`).  sigma is
-parametrised as ``I/D`` plus traceless coordinates, so every iterate is a
-unit-trace state strictly inside both cones and is a valid certificate as
-it stands, with no polishing step; so is, up to rounding, the point where
-a predictor direction meets the cone boundary.  The kernel's primal point
-gives a certified bound on the other side, and both solvers stop once the
-two are within ``tol``.
+The best overlap of a pure target with F(cut) has a closed form, one SVD
+(:func:`max_overlap_ppt`).  The least trace distance to F(cut) is a
+semidefinite program, solved by one dense primal-dual interior-point kernel
+(:func:`_interior_point`).  sigma is parametrised as ``I/D`` plus traceless
+coordinates, so every iterate is a unit-trace state strictly inside both
+cones and is a valid certificate as it stands, with no polishing step; so
+is, up to rounding, the point where a predictor direction meets the cone
+boundary.  The kernel's primal point gives a certified bound on the other
+side, and the solver stops once the two are within ``tol``.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (
+    DIMENSION_CAP,
     Bipartition,
     DensityMatrix,
     PureState,
@@ -43,10 +45,9 @@ __all__ = [
     "geometric_distillability_ppt",
 ]
 
-# Most rows m of the kernel's Schur system: D^2 - 1 for a pure target and
-# 2 D^2 - 1 for a mixed one.  An iteration costs O(m^3) time and O(m^2)
-# memory; near this cap (D = 40 pure, D = 28 mixed) one solve took 3-4 s and
-# 0.4-0.6 GB on two cores.
+# Most rows m of the kernel's Schur system, 2 D^2 - 1 for the trace-distance
+# program.  An iteration costs O(m^3) time and O(m^2) memory; near this cap
+# (D = 28) one solve took 3.2 s and 0.4 GB on two cores.
 OPT_SCHUR_CAP = 1600
 
 # Share of the step to the nearest cone boundary that the kernel takes.
@@ -55,7 +56,7 @@ _STEP_TO_BOUNDARY = 0.95
 
 @dataclass
 class PptOptConfig:
-    """Knobs shared by the optimisers.
+    """Knobs of the trace-distance solver.
 
     ``max_iters`` caps the interior-point iterations of a call; ``tol`` is
     the largest certified gap at which a call stops.
@@ -95,21 +96,15 @@ class PptOptResult:
 class GeoDistResult:
     """Bracket [low, high] for the geometric distillability 1 - sup F.
 
-    The two ends coincide for pure inputs, where the overlap optimiser is
-    exact; for mixed inputs they come from the trace-distance optimum via
-    1 - F <= T <= sqrt(1 - F^2).
+    For pure inputs both ends are ``1 - s_1``, with s_1 the largest Schmidt
+    coefficient across the cut: the closed-form overlap is exact, so both
+    ends are certified up to rounding.  For mixed inputs they come from the
+    trace-distance optimum via 1 - F <= T <= sqrt(1 - F^2).
     """
 
     low: float
     high: float
     detail: PptOptResult
-
-
-def _check_schur_rows(m: int) -> None:
-    if m > OPT_SCHUR_CAP:
-        raise SizeLimitError(
-            f"the optimiser would need {m} Schur rows, above the cap {OPT_SCHUR_CAP}"
-        )
 
 
 class _Coords:
@@ -118,7 +113,7 @@ class _Coords:
     Coordinate j < D is the diagonal matrix ``diag(W[:, j])``, with W
     orthogonal and ``W[:, 0] = +-1/sqrt(D)``, so coordinate 0 alone carries
     the trace.  Then come sqrt(2) Re and, unless ``real``, sqrt(2) Im of the
-    entries above the diagonal.  A real program (real target, real C) has a
+    entries above the diagonal.  A real program (real rho, real C) has a
     real symmetric optimum, since averaging a feasible sigma with its complex
     conjugate keeps it feasible and does not worsen the objective; its
     coordinates and arithmetic are then real.
@@ -314,60 +309,47 @@ def _interior_point(
 
 
 def _result(
-    sigma: np.ndarray,
-    value: Callable[[np.ndarray], float],
+    cert: DensityMatrix,
+    value: float,
     gap: float,
     iterations: int,
-    dims: tuple[int, ...],
     transpose,
     tol: float,
 ) -> PptOptResult:
-    cert = DensityMatrix(dims, sigma)
-    low = np.linalg.eigvalsh(np.stack([cert.data, _pt_array(cert.data, dims, transpose)]))[:, 0]
+    low = np.linalg.eigvalsh(np.stack([cert.data, _pt_array(cert.data, cert.dims, transpose)]))
     residuals = {
         "trace": abs(float(np.trace(cert.data).real) - 1.0),
-        "psd": max(0.0, -float(low[0])),
-        "ppt": max(0.0, -float(low[1])),
+        "psd": max(0.0, -float(low[0, 0])),
+        "ppt": max(0.0, -float(low[1, 0])),
     }
-    return PptOptResult(value(cert.data), cert, iterations, gap <= tol, residuals, gap)
+    return PptOptResult(value, cert, iterations, gap <= tol, residuals, gap)
 
 
-def max_overlap_ppt(
-    psi: PureState,
-    cut: Bipartition,
-    config: PptOptConfig | None = None,
-) -> PptOptResult:
-    """Maximise <psi|sigma|psi> over sigma in F(cut).
+def max_overlap_ppt(psi: PureState, cut: Bipartition) -> PptOptResult:
+    """Maximise <psi|sigma|psi> over sigma in F(cut), in closed form.
 
-    Blocks ``sigma`` and ``sigma^Gamma``.  The upper bound is
-    ``lambda_max(P + Z^Gamma)`` with ``P = |psi><psi|`` and ``Z`` the
-    kernel's positive definite multiplier of ``sigma^Gamma``, valid for any
-    ``Z >= 0`` as ``Tr Z sigma^Gamma >= 0`` on F(cut).  ``value`` is the
-    overlap of the returned certificate.
+    The maximum is s_1^2, the largest squared Schmidt coefficient of psi
+    across the cut.  The product of the top Schmidt vectors attains it, and
+    ``Tr sigma P = Tr sigma^Gamma P^Gamma <= lambda_max(P^Gamma) = s_1^2``
+    with ``P = |psi><psi|`` bounds every sigma in F(cut) (E. M. Rains,
+    IEEE TIT 47, 2921 (2001)).  The certificate is that product state and
+    ``value`` its overlap; ``gap`` is the rounding by which ``value`` falls
+    short of s_1^2.  Targets above ``DIMENSION_CAP`` raise
+    :class:`SizeLimitError` before any work.
     """
-    config = config or PptOptConfig()
-    _check_schur_rows(psi.dim**2 - 1)
+    if psi.dim > DIMENSION_CAP:
+        raise SizeLimitError(f"dimension {psi.dim} exceeds the cap {DIMENSION_CAP}")
     dims = psi.dims
     _check_cut(cut, len(dims))
-    D = psi.dim
-    real = not psi.amplitudes.imag.any()
-    coords = _Coords(dims, cut.left, real)
-    P = np.outer(psi.amplitudes, psi.amplitudes.conj())
-    P = P.real if real else P
-
-    def overlap(sigma):
-        return float(np.real(psi.amplitudes.conj() @ sigma @ psi.amplitudes))
-
-    def bound(X):
-        return float(np.linalg.eigvalsh(P + _pt_array(X[1], dims, cut.left))[-1])
-
-    C = np.repeat(np.eye(D, dtype=coords.dtype)[None] / D, 2, axis=0)
-    b = coords.vec(P[None])[0, 1:]
-    S, value, upper, iterations = _interior_point(
-        coords, np.ones((2, 1), bool), np.array([False, True]), C, b,
-        np.zeros(coords.n - 1), lambda S: overlap(S[0]), bound, config,
-    )
-    return _result(S[0], overlap, upper - value, iterations, dims, cut.left, config.tol)
+    order = cut.left + cut.right
+    shape = [dims[i] for i in order]
+    amps = psi.amplitudes if psi.amplitudes.imag.any() else psi.amplitudes.real
+    M = amps.reshape(dims).transpose(order).reshape(math.prod(shape[: len(cut.left)]), -1)
+    U, s, Vh = np.linalg.svd(M, full_matrices=False)
+    top = np.outer(U[:, 0], Vh[0]).reshape(shape).transpose(np.argsort(order)).reshape(-1)
+    cert = DensityMatrix(dims, np.outer(top, top.conj()))
+    value = float(np.real(psi.amplitudes.conj() @ cert.data @ psi.amplitudes))
+    return _result(cert, value, max(0.0, s[0] ** 2 - value), 0, cut.left, PptOptConfig.tol)
 
 
 def min_trace_distance_ppt(
@@ -387,7 +369,11 @@ def min_trace_distance_ppt(
     on F(cut).  ``gap`` is ``value`` minus that bound.
     """
     config = config or PptOptConfig()
-    _check_schur_rows(2 * rho.dim**2 - 1)
+    m = 2 * rho.dim**2 - 1
+    if m > OPT_SCHUR_CAP:
+        raise SizeLimitError(
+            f"the optimiser would need {m} Schur rows, above the cap {OPT_SCHUR_CAP}"
+        )
     dims = rho.dims
     _check_cut(cut, len(dims))
     D = rho.dim
@@ -414,7 +400,8 @@ def min_trace_distance_ppt(
         coords, blocks, np.array([False, False, False, True]), C, b, z,
         lambda S: -tdist(S[2]), bound, config,
     )
-    return _result(S[2], tdist, upper - value, iterations, dims, cut.left, config.tol)
+    cert = DensityMatrix(dims, S[2])
+    return _result(cert, tdist(cert.data), upper - value, iterations, cut.left, config.tol)
 
 
 def _as_pure(state: PureState | DensityMatrix) -> PureState | None:
@@ -435,16 +422,15 @@ def geometric_distillability_ppt(
 ) -> GeoDistResult:
     """Distance 1 - sup_{sigma in F(cut)} F(state, sigma), as a bracket.
 
-    Pure inputs take the exact route through the overlap optimiser, where
-    the fidelity is the square root of the overlap and the bracket
-    collapses to a point.  Mixed inputs yield the interval
-    ``[1 - sqrt(1 - T^2), T]`` with T the minimal trace distance to the
-    feasible set.
+    Pure inputs take the closed-form overlap, where the fidelity is the
+    square root of the overlap and the bracket collapses to the point
+    ``1 - s_1``.  Mixed inputs yield the interval ``[1 - sqrt(1 - T^2), T]``
+    with T the minimal trace distance to the feasible set; ``config`` tunes
+    only that solver.
     """
-    _check_schur_rows(state.dim**2 - 1)
     pure = _as_pure(state)
     if pure is not None:
-        res = max_overlap_ppt(pure, cut, config)
+        res = max_overlap_ppt(pure, cut)
         value = 1.0 - float(np.sqrt(max(0.0, res.value)))
         return GeoDistResult(low=value, high=value, detail=res)
     res = min_trace_distance_ppt(state, cut, config)

@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 
 import pptmerge
-from pptmerge import TripartiteState, loads_state
+from pptmerge import DIMENSION_CAP, Bipartition, TripartiteState, loads_state, save_state
 from pptmerge.cli import main
 from pptmerge.families import GenerationError
+from helpers import random_pure
+from oracles import schmidt_overlap
 
 cli_mod = importlib.import_module("pptmerge.cli")
 
@@ -261,7 +263,7 @@ def test_geodist_bell_pair(tmp_path, capsys):
     value = float(captured.out.strip())
     assert abs(value - 0.29289321881345254) < 1e-3
     gap = float(captured.err.split("gap=")[1].split()[0])
-    assert "converged=True" in captured.err and 0.0 <= gap <= 1e-7  # the overlap's dual
+    assert "converged=True" in captured.err and 0.0 <= gap <= 1e-12  # closed form, exact
 
 
 def test_geodist_tripartite_defaults_to_ab_c(tmp_path, capsys):
@@ -307,31 +309,44 @@ def test_overlap_rejects_mixed_states(tmp_path, capsys):
 
 
 def test_overlap_dimension_cap_exit_code(tmp_path, capsys):
+    # D = 4097, the first size past the exact-operation cap
     payload = {
         "format_version": 1,
-        "dims": [2] * 7,
-        "amplitudes": [[1.0, 0.0]] + [[0.0, 0.0]] * 127,
+        "dims": [17, 241],
+        "amplitudes": [[1.0, 0.0]] + [[0.0, 0.0]] * DIMENSION_CAP,
     }
     big = tmp_path / "big.json"
     big.write_text(json.dumps(payload))
-    capsys.readouterr()
-    assert main(["overlap", str(big), "--cut", "0,1,2:3,4,5,6"]) == 3
+    assert main(["overlap", str(big), "--cut", "0:1"]) == 3
+    assert f"cap {DIMENSION_CAP}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dims, left", [((6, 7), (0,)), ((2,) * 7, (0, 1, 2))])
+def test_overlap_is_exact_above_the_old_caps(tmp_path, capsys, dims, left):
+    # D = 42 and D = 128 used to exit 3 (Schur-row and dimension caps)
+    psi = random_pure(np.random.default_rng(241), dims)
+    save_state(psi, tmp_path / "psi.json")
+    right = Bipartition.of(left, len(dims)).right
+    cut = ",".join(map(str, left)) + ":" + ",".join(map(str, right))
+    assert main(["overlap", str(tmp_path / "psi.json"), "--cut", cut]) == 0
+    exact = schmidt_overlap(psi.amplitudes, dims, left)
+    assert abs(float(capsys.readouterr().out) - exact) <= 1e-12
+
+
+def test_overlap_takes_no_solver_flags(tmp_path, capsys):
+    phi = _generate(tmp_path, "phi-plus")
+    with pytest.raises(SystemExit) as exc:
+        main(["overlap", str(phi), "--cut", "0:1", "--tol", "1e-7"])
+    assert exc.value.code == 2
     capsys.readouterr()
 
 
-@pytest.mark.parametrize(
-    "command, payload",
-    [
-        # D = 42 pure: 42^2 - 1 = 1763 Schur rows
-        ("overlap", {"dims": [6, 7], "amplitudes": [[1.0, 0.0]] + [[0.0, 0.0]] * 41}),
-        # D = 30 mixed: 2 * 30^2 - 1 = 1799 Schur rows
-        ("geodist", {"dims": [5, 6], "matrix": [[v / 30, 0.0] for v in np.eye(30).ravel()]}),
-    ],
-)
-def test_optimisers_exit_3_just_above_the_schur_row_cap(tmp_path, capsys, command, payload):
+def test_geodist_exits_3_just_above_the_schur_row_cap(tmp_path, capsys):
+    # D = 30 mixed: 2 * 30^2 - 1 = 1799 Schur rows
+    payload = {"dims": [5, 6], "matrix": [[v / 30, 0.0] for v in np.eye(30).ravel()]}
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"format_version": 1, **payload}))
-    assert main([command, str(path), "--cut", "0:1"]) == 3
+    assert main(["geodist", str(path), "--cut", "0:1"]) == 3
     assert "Schur rows" in capsys.readouterr().err
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pptmerge import (
+    DIMENSION_CAP,
     OPT_SCHUR_CAP,
     Bipartition,
     DensityMatrix,
@@ -67,8 +68,9 @@ def test_max_overlap_bell_pair():
     )
     assert abs(direct - res.value) < 1e-12  # value is read off the certificate
     assert max(res.residuals.values()) <= 1e-6
-    # the dual bound lambda_max(P + Z^Gamma) closes on 1/2 from above
-    assert 0.0 <= res.gap <= TOL and res.value <= 0.5 <= res.value + res.gap
+    # s_1^2 = 1/2, which the product certificate reaches up to rounding
+    assert 0.0 <= res.gap <= TOL
+    assert res.value - 1e-12 <= 0.5 <= res.value + res.gap + 1e-12
 
 
 def test_max_overlap_product_state_reaches_one():
@@ -106,9 +108,9 @@ def test_schur_matrix_matches_its_definition(real):
 
 
 def test_certificates_are_unit_trace_states_feasible_to_rounding():
-    # sigma is I/D plus traceless coordinates, and the certificate is an
-    # iterate or the point where a predictor step meets the cone boundary,
-    # so it needs no polishing
+    # the overlap's certificate is a product of unit vectors; the trace
+    # distance's is I/D plus traceless coordinates, an iterate or the point
+    # where a predictor step meets the cone boundary, so it needs no polishing
     rng = np.random.default_rng(211)
     cut = Bipartition((0,), (1, 2))
     for res in (
@@ -120,18 +122,25 @@ def test_certificates_are_unit_trace_states_feasible_to_rounding():
         assert min(_interior_margins(res, cut)) >= -1e-15
 
 
-def test_max_overlap_budget_exhaustion_still_feasible():
-    cfg = PptOptConfig(max_iters=3)
-    res = max_overlap_ppt(phi_plus(), CUT01, cfg)
-    assert not res.converged
-    assert max(res.residuals.values()) <= 10 * cfg.tol
-    assert 0.0 <= res.value <= 1.0
+def test_max_overlap_dimension_cap(monkeypatch):
+    # the first size past the exact-operation cap fails before the SVD
+    def no_svd(*args, **kwargs):
+        raise AssertionError("the SVD ran before the size check")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    psi = PureState((17, 241), np.eye(1, DIMENSION_CAP + 1)[0])
+    with pytest.raises(SizeLimitError, match=f"dimension {DIMENSION_CAP + 1}"):
+        max_overlap_ppt(psi, cut=CUT01)
 
 
-def test_max_overlap_dimension_cap():
-    psi = PureState((2,) * 7, np.eye(128)[0])
-    with pytest.raises(SizeLimitError):
-        max_overlap_ppt(psi, cut=Bipartition.of((0, 1, 2), 7))
+@pytest.mark.parametrize("dims, left", [((6, 7), (0,)), ((2,) * 7, (0, 1, 2))])
+def test_max_overlap_is_exact_above_the_old_caps(dims, left):
+    # D = 42 and D = 128 used to exceed the Schur-row and dimension caps
+    psi = random_pure(np.random.default_rng(229), dims)
+    res = max_overlap_ppt(psi, Bipartition.of(left, len(dims)))
+    assert res.iterations == 0 and res.converged and res.gap <= 1e-12
+    assert abs(res.value - schmidt_overlap(psi.amplitudes, dims, left)) <= 1e-12
+    assert max(res.residuals.values()) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -232,20 +241,13 @@ def test_min_trace_distance_dimension_cap():
         min_trace_distance_ppt(big, cut=Bipartition.of((0,), 7))
 
 
-@pytest.mark.parametrize(
-    "state, rows",
-    [
-        (PureState((6, 7), np.eye(42)[0]), 42**2 - 1),
-        (DensityMatrix((5, 6), np.eye(30) / 30), 2 * 30**2 - 1),
-    ],
-)
-def test_schur_row_cap_is_checked_before_any_work(state, rows):
-    # the smallest sizes past the cap: D^2 - 1 rows for a pure target and
-    # 2 D^2 - 1 for a mixed one; D = 40 and D = 28 (the next sizes down) fit
-    assert 40**2 - 1 <= OPT_SCHUR_CAP and 2 * 28**2 - 1 <= OPT_SCHUR_CAP < rows
-    solve = max_overlap_ppt if isinstance(state, PureState) else min_trace_distance_ppt
+def test_schur_row_cap_is_checked_before_any_work():
+    # the smallest size past the cap, 2 D^2 - 1 rows at D = 30; D = 28 (the
+    # next size down) fits
+    rows = 2 * 30**2 - 1
+    assert 2 * 28**2 - 1 <= OPT_SCHUR_CAP < rows
     with pytest.raises(SizeLimitError, match=f"{rows} Schur rows"):
-        solve(state, Bipartition((0,), (1,)))
+        min_trace_distance_ppt(DensityMatrix((5, 6), np.eye(30) / 30), CUT01)
 
 
 def test_geodist_pure_bell_pair():
@@ -259,6 +261,20 @@ def test_geodist_pure_density_input_routes_to_overlap():
     res = geometric_distillability_ppt(phi_plus().to_density(), cut=CUT01)
     assert res.low == res.high
     assert abs(res.low - GEODIST_PHI) < 1e-3
+
+
+@pytest.mark.parametrize(
+    "dims, left", [((2, 3), (0,)), ((3, 3), (0,)), ((2, 2, 2), (0, 1)), ((2, 2, 2, 2), (0, 2))]
+)
+def test_geodist_pure_is_exact(dims, left):
+    # both ends are 1 - s_1, for a pure state and for its density matrix
+    psi = random_pure(np.random.default_rng(239), dims)
+    exact = 1.0 - np.sqrt(schmidt_overlap(psi.amplitudes, dims, left))
+    cut = Bipartition.of(left, len(dims))
+    for state in (psi, psi.to_density()):
+        res = geometric_distillability_ppt(state, cut)
+        assert res.low == res.high
+        assert abs(res.low - exact) <= 1e-12
 
 
 def test_geodist_two_bell_pairs():

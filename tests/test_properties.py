@@ -1,6 +1,6 @@
 """Hypothesis properties of the partial transpose, measures, witnesses, classifier
-(on general states and on states classical on A), the trace-distance dual bound
-and the overlap bracket.
+(on general states and on states classical on A), the trace-distance dual bound,
+the overlap bracket and the overlap's product certificate.
 
 Hypothesis draws the layouts, ranks and seeds; numpy draws the states.
 """
@@ -38,7 +38,7 @@ from pptmerge import (
 from pptmerge.classify import fidelity_lower_bound
 from pptmerge.core import _pt_array
 from helpers import haar_unitary, random_density, random_separable
-from oracles import report_numbers, schmidt_overlap
+from oracles import partial_transpose_einsum, report_numbers, schmidt_overlap
 
 _seeds = st.integers(0, 2**32 - 1)
 _dims = st.sampled_from([(2, 2), (2, 3), (3, 2), (2, 2, 2), (2, 3, 2), (2, 2, 2, 2)])
@@ -161,6 +161,12 @@ def test_trace_distance_dual_bound_is_below_every_separable_distance(
     assert res.value - res.gap <= trace_distance(rho, other) + 1e-12
 
 
+def _random_amplitudes(rng, dims, real):
+    D = int(np.prod(dims))
+    amps = rng.standard_normal(D) + (0 if real else 1j) * rng.standard_normal(D)
+    return amps / np.linalg.norm(amps)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     layout=st.sampled_from(
@@ -171,17 +177,38 @@ def test_trace_distance_dual_bound_is_below_every_separable_distance(
 )
 def test_overlap_bracket_contains_the_schmidt_value(layout, real, seed):
     # [value, value + gap] must hold s_1^2: value is the overlap of a feasible
-    # certificate and value + gap is lambda_max(P + Z^Gamma) for some Z >= 0
+    # certificate and value + gap is s_1^2 computed in closed form
     dims, left = layout
-    rng = np.random.default_rng(seed)
-    amps = rng.standard_normal(int(np.prod(dims))) + (0 if real else 1j) * rng.standard_normal(
-        int(np.prod(dims))
-    )
-    amps /= np.linalg.norm(amps)
+    amps = _random_amplitudes(np.random.default_rng(seed), dims, real)
     res = max_overlap_ppt(PureState(dims, amps), Bipartition.of(left, len(dims)))
     exact = schmidt_overlap(amps, dims, left)
-    assert res.converged and res.gap <= PptOptConfig().tol
+    assert res.converged and res.gap <= 1e-12
     assert res.value - 1e-12 <= exact <= res.value + res.gap + 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    layout=st.sampled_from(
+        [((2, 3), (0,)), ((3, 3), (0,)), ((2, 2, 2), (0,)), ((2, 2, 2), (0, 1)),
+         ((2, 2, 2, 2), (0, 2))]
+    ),
+    real=st.booleans(),
+    seed=_seeds,
+)
+def test_overlap_certificate_meets_the_rains_bound(layout, real, seed):
+    # Tr sigma P = Tr sigma^Gamma P^Gamma <= lambda_max(P^Gamma) on the PPT
+    # set, so a certificate that reaches lambda_max(P^Gamma) is optimal; it
+    # is a product across the cut, a pure state whose partial transpose is pure
+    dims, left = layout
+    amps = _random_amplitudes(np.random.default_rng(seed), dims, real)
+    res = max_overlap_ppt(PureState(dims, amps), Bipartition.of(left, len(dims)))
+    rains = np.linalg.eigvalsh(partial_transpose_einsum(np.outer(amps, amps.conj()), dims, left))
+    assert abs(res.value - schmidt_overlap(amps, dims, left)) <= 1e-12
+    assert abs(res.value - rains[-1]) <= 1e-12
+    assert res.gap <= 1e-12
+    sigma = res.certificate.data
+    for m in (sigma, partial_transpose_einsum(sigma, dims, left)):
+        assert np.count_nonzero(np.linalg.eigvalsh(m) > 1e-12) == 1
 
 
 @st.composite

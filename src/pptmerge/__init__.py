@@ -5,137 +5,26 @@ The package provides validated state containers, entropic measures and
 distillability witnesses, the Bloch rank of a state family, named state
 families, convex optimisers over the PPT set, and a criterion-based
 classifier with a JSON command-line front end.
+
+Each submodule's ``__all__`` is the one list of what it exports; the
+package re-exports all of them.  ``pptmerge.classify`` is the
+:func:`~pptmerge.classify.classify` function, not its submodule.
 """
+
+import sys as _sys
 
 __version__ = "0.1.0"
 
-from .bloch import rank_of_family
-from .classify import (
-    INCONCLUSIVE,
-    NO_PERFECT_MERGE,
-    PERFECT,
-    VANISHING,
-    VERDICTS,
-    ClassificationReport,
-    CriterionResult,
-    InconsistentCriteriaError,
-    check_necessary_ppt,
-    check_perfect_sufficient,
-    check_sep_family_obstruction,
-    check_vanishing_locc_merge,
-    check_vanishing_ppt_merge,
-    classify,
-    fidelity_lower_bound,
-    merging_cost_pure,
-)
-from .core import (
-    DIMENSION_CAP,
-    Bipartition,
-    DensityMatrix,
-    PureState,
-    SizeLimitError,
-    TripartiteState,
-    partial_trace,
-    partial_transpose,
-    tensor,
-)
-from .families import (
-    GenerationError,
-    classical_correlated,
-    ghz,
-    perturb,
-    phi_plus,
-    product_example,
-    product_pure,
-    robust_vanishing_family,
-    sep_no_merge_family,
-)
-from .measures import (
-    WitnessValue,
-    conditional_entropy,
-    fidelity,
-    hashing_witness,
-    is_ppt,
-    log_negativity,
-    mutual_information,
-    negativity_witness,
-    trace_distance,
-    von_neumann_entropy,
-)
-from .pptopt import (
-    OPT_SCHUR_CAP,
-    GeoDistResult,
-    PptOptConfig,
-    PptOptResult,
-    geometric_distillability_ppt,
-    max_overlap_ppt,
-    min_trace_distance_ppt,
-)
-from .stateio import dumps_state, load_state, loads_state, save_state
+from .core import *
+from .measures import *
+from .bloch import *
+from .families import *
+from .pptopt import *
+from .classify import *
+from .stateio import *
 
-__all__ = [
-    "__version__",
-    # core
-    "DIMENSION_CAP",
-    "Bipartition",
-    "DensityMatrix",
-    "PureState",
-    "SizeLimitError",
-    "TripartiteState",
-    "partial_trace",
-    "partial_transpose",
-    "tensor",
-    # measures
-    "WitnessValue",
-    "conditional_entropy",
-    "fidelity",
-    "hashing_witness",
-    "is_ppt",
-    "log_negativity",
-    "mutual_information",
-    "negativity_witness",
-    "trace_distance",
-    "von_neumann_entropy",
-    # bloch
-    "rank_of_family",
-    # families
-    "GenerationError",
-    "classical_correlated",
-    "ghz",
-    "perturb",
-    "phi_plus",
-    "product_example",
-    "product_pure",
-    "robust_vanishing_family",
-    "sep_no_merge_family",
-    # optimisers
-    "OPT_SCHUR_CAP",
-    "GeoDistResult",
-    "PptOptConfig",
-    "PptOptResult",
-    "geometric_distillability_ppt",
-    "max_overlap_ppt",
-    "min_trace_distance_ppt",
-    # classification
-    "INCONCLUSIVE",
-    "NO_PERFECT_MERGE",
-    "PERFECT",
-    "VANISHING",
-    "VERDICTS",
-    "ClassificationReport",
-    "CriterionResult",
-    "InconsistentCriteriaError",
-    "check_necessary_ppt",
-    "check_perfect_sufficient",
-    "check_sep_family_obstruction",
-    "check_vanishing_locc_merge",
-    "check_vanishing_ppt_merge",
-    "classify",
-    "fidelity_lower_bound",
-    "merging_cost_pure",
-    # io
-    "dumps_state",
-    "load_state",
-    "loads_state",
-    "save_state",
+__all__ = ["__version__"] + [
+    name
+    for module in ("core", "measures", "bloch", "families", "pptopt", "classify", "stateio")
+    for name in _sys.modules[f"{__name__}.{module}"].__all__
 ]

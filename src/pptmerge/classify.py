@@ -8,6 +8,10 @@ the first certified answer in the precedence order
 
 and a state certifying both PERFECT and VANISHING is a hard error, since
 no state can do that; seeing it means a bug or a broken tolerance.
+
+:func:`classify` is the way to evaluate the criteria: it computes the six
+spectra they read once per state and reports every criterion by name in
+:attr:`ClassificationReport.criteria`.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bloch import _family_rank
-from .core import TripartiteState, _density_stack, _eigvalsh, _pt_array, _ptrace_array
+from .core import TripartiteState, _check_tol, _density_stack, _eigvalsh, _pt_array, _ptrace_array
 from .families import SEP_FAMILY_BLOCKS
 from .measures import _entropy, conditional_entropy
 
@@ -32,12 +36,7 @@ __all__ = [
     "InconsistentCriteriaError",
     "CriterionResult",
     "ClassificationReport",
-    "check_perfect_sufficient",
-    "check_vanishing_ppt_merge",
-    "check_vanishing_locc_merge",
-    "check_necessary_ppt",
     "check_sep_family_obstruction",
-    "fidelity_lower_bound",
     "merging_cost_pure",
     "classify",
 ]
@@ -73,6 +72,18 @@ class CriterionResult:
 
 @dataclass(frozen=True)
 class ClassificationReport:
+    """What :func:`classify` found for one state.
+
+    ``verdict`` is one of :data:`VERDICTS`; ``criteria`` holds every
+    criterion's result in report order; ``witnesses`` maps the conditional
+    entropy S(BC) - S(C), the hashing witness across A:BC and the
+    log-negativity across AB:C to their values.  ``fidelity_lower_bound``
+    is the fidelity achievable by handing C the correlations it already
+    holds, 2 ** ((I(A:C) - I(A:BC)) / 2).  Discarding B can only shrink
+    mutual information with A, so it lies in (0, 1], reaching 1 exactly
+    when B carries nothing about A that C lacks.
+    """
+
     verdict: str
     criteria: tuple[CriterionResult, ...]
     witnesses: dict[str, float]
@@ -144,8 +155,6 @@ def _spectra(state: TripartiteState) -> _Spectra:
 
 
 def _vanishing_ppt(sp: _Spectra, tol: float) -> bool | None:
-    if tol < 0:
-        raise ValueError("tol must be non-negative")
     if not sp.min_pt_eigenvalue >= -tol:
         return False
     return True if sp.hashing_a_bc > tol else None
@@ -154,14 +163,22 @@ def _vanishing_ppt(sp: _Spectra, tol: float) -> bool | None:
 # The criteria decided by the spectra alone, in report order:
 # name -> (condition, rule), where rule(spectra, tol) gives (holds, witness).
 _SPECTRAL_CRITERIA = {
+    # Merging succeeds perfectly when S(BC) - S(C) is non-positive.
     "perfect_merge_sufficient": (
         "S(BC) - S(C) <= tol",
         lambda sp, tol: (bool(sp.conditional_entropy <= tol), sp.conditional_entropy),
     ),
+    # The fidelity collapses to zero even with PPT assistance: certified when
+    # the state is PPT across AB:C and provably distillable across A:BC.  PPT
+    # with a silent distillability witness is unknown, not false.
     "vanishing_ppt_merge": (
         "PPT across AB:C and hashing witness across A:BC > tol",
         lambda sp, tol: (_vanishing_ppt(sp, tol), sp.hashing_a_bc),
     ),
+    # The fidelity collapses to zero for unassisted LOCC: certified when the
+    # state is distillable across A:BC and its AB:C log-negativity vanishes.
+    # Anything else is unknown: a positive log-negativity does not certify
+    # that merging succeeds.
     "vanishing_locc_merge": (
         "hashing witness across A:BC > tol and log-negativity across AB:C <= tol",
         lambda sp, tol: (
@@ -169,6 +186,11 @@ _SPECTRAL_CRITERIA = {
             sp.hashing_a_bc,
         ),
     ),
+    # Necessary condition: perfect merging cannot need more entanglement
+    # across A:BC than the AB:C cut supplies.  Violated (False, perfect
+    # merging impossible) when the certified lower bound across A:BC beats
+    # the certified upper bound across AB:C; the witnesses cannot certify the
+    # condition itself, so it is never True.
     "necessary_entanglement_budget": (
         "violated when hashing(A:BC) exceeds log-negativity(AB:C) + tol",
         lambda sp, tol: (
@@ -177,49 +199,6 @@ _SPECTRAL_CRITERIA = {
         ),
     ),
 }
-
-
-def _criterion(name: str, sp: _Spectra, tol: float) -> CriterionResult:
-    condition, rule = _SPECTRAL_CRITERIA[name]
-    holds, witness = rule(sp, tol)
-    return CriterionResult(name=name, holds=holds, witness=witness, condition=condition)
-
-
-def check_perfect_sufficient(state: TripartiteState, tol: float = DEFAULT_TOL) -> CriterionResult:
-    """Merging succeeds perfectly when S(BC) - S(C) is non-positive."""
-    return _criterion("perfect_merge_sufficient", _spectra(state), tol)
-
-
-def check_vanishing_ppt_merge(state: TripartiteState, tol: float = DEFAULT_TOL) -> CriterionResult:
-    """Merging fidelity collapses to zero even with PPT assistance.
-
-    Certified when the state is PPT across AB:C while provably distillable
-    across A:BC.  If the AB:C side is PPT but the distillability witness
-    does not fire, the answer is unknown, not false.
-    """
-    return _criterion("vanishing_ppt_merge", _spectra(state), tol)
-
-
-def check_vanishing_locc_merge(state: TripartiteState, tol: float = DEFAULT_TOL) -> CriterionResult:
-    """Merging fidelity collapses to zero for unassisted LOCC.
-
-    Certified when the state is distillable across A:BC while the
-    log-negativity across AB:C vanishes.  Anything else is unknown: a
-    positive log-negativity does not certify that merging succeeds.
-    """
-    return _criterion("vanishing_locc_merge", _spectra(state), tol)
-
-
-def check_necessary_ppt(state: TripartiteState, tol: float = DEFAULT_TOL) -> CriterionResult:
-    """Necessary condition: merging cannot beat the AB:C entanglement budget.
-
-    Perfect merging needs distillable entanglement across A:BC not to
-    exceed what the AB:C cut can supply.  When the certified lower bound
-    across A:BC beats the certified upper bound across AB:C, the condition
-    is violated and ``holds`` is False (perfect merging impossible).  The
-    witnesses cannot certify the condition itself, so it is never True.
-    """
-    return _criterion("necessary_entanglement_budget", _spectra(state), tol)
 
 
 def check_sep_family_obstruction(state: TripartiteState, tol: float = DEFAULT_TOL) -> CriterionResult:
@@ -232,6 +211,7 @@ def check_sep_family_obstruction(state: TripartiteState, tol: float = DEFAULT_TO
     The da diagonal blocks are checked as one (da, 4, 4) stack: one batched
     validation, one batched PPT spectrum and one Bloch-rank SVD.
     """
+    _check_tol(tol)
     condition = (
         "A-diagonal mixture of B:C-separable qubit pairs with full Bloch rank"
     )
@@ -272,23 +252,13 @@ def check_sep_family_obstruction(state: TripartiteState, tol: float = DEFAULT_TO
     )
 
 
-def fidelity_lower_bound(state: TripartiteState) -> float:
-    """Fidelity achievable by handing C the correlations it already holds.
-
-    Equals 2 ** ((I(A:C) - I(A:BC)) / 2).  Discarding B can only shrink
-    mutual information with A, so the value lies in (0, 1], reaching 1
-    exactly when B carries nothing about A that C lacks.
-    """
-    return _spectra(state).fidelity_lower_bound
-
-
 def merging_cost_pure(state: TripartiteState, atol: float = DEFAULT_TOL) -> float:
     """Entanglement rate consumed (positive) or released (negative) by merging.
 
     Only meaningful for pure global states, where the rate is exactly
     S(BC) - S(C); mixed inputs are rejected.
     """
-    if state.state.purity() < 1.0 - atol:
+    if not state.state.is_pure(atol):
         raise ValueError(
             f"merging cost is defined for pure states; purity = {state.state.purity():.6f}"
         )
@@ -301,9 +271,11 @@ def classify(state: TripartiteState, tol: float = DEFAULT_TOL) -> Classification
     Raises :class:`InconsistentCriteriaError` when the perfect and
     vanishing criteria both certify, which no state can do.
     """
+    _check_tol(tol)
     sp = _spectra(state)
     perfect, vanishing_ppt, vanishing_locc, necessary = (
-        _criterion(name, sp, tol) for name in _SPECTRAL_CRITERIA
+        CriterionResult(name, *rule(sp, tol), condition)
+        for name, (condition, rule) in _SPECTRAL_CRITERIA.items()
     )
     obstruction = check_sep_family_obstruction(state, tol)
 

@@ -25,7 +25,7 @@ __all__ = [
     "partial_transpose",
 ]
 
-# Largest composite dimension `tensor` will produce unless overridden.
+# Largest composite dimension `tensor` will produce.
 DIMENSION_CAP = 4096
 
 _HERMITICITY_ATOL = 1e-10
@@ -233,6 +233,12 @@ def _check_cut(cut: Bipartition, n: int) -> None:
         raise ValueError(f"cut covers {cut.n_subsystems} subsystems but the state has {n}")
 
 
+def _check_tol(tol: float) -> None:
+    """Reject a tolerance that is negative, infinite or NaN."""
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
+
+
 @dataclass(frozen=True)
 class TripartiteState:
     """Density matrix with its subsystems assigned to parties A, B and C."""
@@ -280,19 +286,19 @@ class TripartiteState:
         return Bipartition(self.a_indices + self.b_indices, self.c_indices)
 
 
-def tensor(a, b, *, max_dim: int = DIMENSION_CAP):
+def tensor(a, b):
     """Tensor product of two states of the same kind.
 
     Accepts two :class:`DensityMatrix` or two :class:`PureState` instances
     and returns the same kind.  Raises :class:`SizeLimitError` when the
-    product dimension would exceed ``max_dim``.
+    product dimension would exceed :data:`DIMENSION_CAP`.
     """
     if type(a) is not type(b):
         raise ValueError("tensor requires two operands of the same type")
     D = a.dim * b.dim
-    if D > max_dim:
+    if D > DIMENSION_CAP:
         raise SizeLimitError(
-            f"tensor product dimension {D} exceeds the cap {max_dim}"
+            f"tensor product dimension {D} exceeds the cap {DIMENSION_CAP}"
         )
     dims = a.dims + b.dims
     if isinstance(a, PureState):

@@ -17,6 +17,7 @@ from .core import (
     DensityMatrix,
     TripartiteState,
     _check_cut,
+    _check_tol,
     _eigvalsh,
     _herm,
     _ptrace_array,
@@ -145,8 +146,7 @@ def log_negativity(rho: DensityMatrix, cut: Bipartition) -> float:
 
 def is_ppt(rho: DensityMatrix, cut: Bipartition, tol: float = PPT_TOL) -> bool:
     """Whether the partial transpose across ``cut`` is positive to ``tol``."""
-    if tol < 0:
-        raise ValueError("tol must be non-negative")
+    _check_tol(tol)
     w = _eigvalsh(partial_transpose(rho, cut))
     return bool(w[0] >= -tol)
 

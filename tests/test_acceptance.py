@@ -18,7 +18,6 @@ from pptmerge import (
     check_sep_family_obstruction,
     classify,
     fidelity,
-    fidelity_lower_bound,
     hashing_witness,
     is_ppt,
     max_overlap_ppt,
@@ -275,10 +274,10 @@ def test_c10_fidelity_lower_bound_range_and_value(criterion):
             (1,),
             (2,),
         )
-        v = fidelity_lower_bound(state)
+        v = classify(state).fidelity_lower_bound
         if not 0.0 < v <= 1.0 + 1e-12:
             out_of_range += 1
-    frozen = fidelity_lower_bound(product_example(phi_plus()))
+    frozen = classify(product_example(phi_plus())).fidelity_lower_bound
     ok = out_of_range == 0 and abs(frozen - 0.5) <= 1e-9
     criterion(
         "C10 fidelity lower bound stays in (0, 1] and hits 1/2 on the Bell payload",

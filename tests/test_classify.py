@@ -14,14 +14,9 @@ from pptmerge import (
     InconsistentCriteriaError,
     PureState,
     TripartiteState,
-    check_necessary_ppt,
-    check_perfect_sufficient,
     check_sep_family_obstruction,
-    check_vanishing_locc_merge,
-    check_vanishing_ppt_merge,
     classical_correlated,
     classify,
-    fidelity_lower_bound,
     ghz,
     merging_cost_pure,
     perturb,
@@ -49,6 +44,22 @@ def _free_merge_state():
     return TripartiteState.from_pure(PureState((2, 2, 2), amps), (0,), (1,), (2,))
 
 
+def _criterion(name):
+    """A reader of the criterion called ``name`` off a state's classification report."""
+
+    def read(state):
+        (result,) = (c for c in classify(state).criteria if c.name == name)
+        return result
+
+    return read
+
+
+perfect_sufficient = _criterion("perfect_merge_sufficient")
+vanishing_ppt = _criterion("vanishing_ppt_merge")
+vanishing_locc = _criterion("vanishing_locc_merge")
+necessary_budget = _criterion("necessary_entanglement_budget")
+
+
 def test_fixture_verdicts():
     assert classify(ghz()).verdict == PERFECT
     assert classify(classical_correlated()).verdict == PERFECT
@@ -62,49 +73,49 @@ def test_fixture_verdicts():
 
 
 def test_perfect_sufficient_witness_values():
-    assert abs(check_perfect_sufficient(product_example(phi_plus())).witness - 1.0) < 1e-9
-    assert abs(check_perfect_sufficient(ghz()).witness) < 1e-9
-    assert abs(check_perfect_sufficient(_free_merge_state()).witness - (-1.0)) < 1e-9
-    r = check_perfect_sufficient(ghz())
+    assert abs(perfect_sufficient(product_example(phi_plus())).witness - 1.0) < 1e-9
+    assert abs(perfect_sufficient(ghz()).witness) < 1e-9
+    assert abs(perfect_sufficient(_free_merge_state()).witness - (-1.0)) < 1e-9
+    r = perfect_sufficient(ghz())
     assert r.holds is True
     assert r.name == "perfect_merge_sufficient"
 
 
 def test_vanishing_ppt_merge_three_values():
-    assert check_vanishing_ppt_merge(robust_vanishing_family(0.1)).holds is True
-    assert check_vanishing_ppt_merge(product_example(phi_plus())).holds is True
+    assert vanishing_ppt(robust_vanishing_family(0.1)).holds is True
+    assert vanishing_ppt(product_example(phi_plus())).holds is True
     # entangled across AB:C, so the PPT premise fails
-    assert check_vanishing_ppt_merge(_free_merge_state()).holds is False
+    assert vanishing_ppt(_free_merge_state()).holds is False
     # PPT but not provably distillable: unknown
-    assert check_vanishing_ppt_merge(sep_no_merge_family(0)).holds is None
+    assert vanishing_ppt(sep_no_merge_family(0)).holds is None
 
 
 def test_vanishing_locc_merge():
-    assert check_vanishing_locc_merge(product_example(phi_plus())).holds is True
-    assert check_vanishing_locc_merge(sep_no_merge_family(0)).holds is None
+    assert vanishing_locc(product_example(phi_plus())).holds is True
+    assert vanishing_locc(sep_no_merge_family(0)).holds is None
     # implication: the PPT-assisted criterion is strictly stronger
     for state in (
         product_example(phi_plus()),
         robust_vanishing_family(0.05),
         robust_vanishing_family(0.25),
     ):
-        if check_vanishing_ppt_merge(state).holds:
-            assert check_vanishing_locc_merge(state).holds
+        if vanishing_ppt(state).holds:
+            assert vanishing_locc(state).holds
 
 
 def test_necessary_budget_criterion():
-    r = check_necessary_ppt(product_example(phi_plus()))
+    r = necessary_budget(product_example(phi_plus()))
     assert r.holds is False  # hashing 1 across A:BC, zero budget across AB:C
     assert abs(r.witness - 1.0) < 1e-9
-    assert check_necessary_ppt(_free_merge_state()).holds is None
-    assert check_necessary_ppt(ghz()).holds is None
+    assert necessary_budget(_free_merge_state()).holds is None
+    assert necessary_budget(ghz()).holds is None
 
 
 def test_vanishing_beats_no_perfect_merge_in_precedence():
     # the same state violates the budget and certifies vanishing; the
     # verdict must report the stronger statement
     state = product_example(phi_plus())
-    assert check_necessary_ppt(state).holds is False
+    assert necessary_budget(state).holds is False
     assert classify(state).verdict == VANISHING
 
 
@@ -314,13 +325,28 @@ def test_fidelity_lower_bound_range_and_values():
     rng = np.random.default_rng(173)
     for _ in range(100):
         state = random_tripartite(rng, (2, 2, 2))
-        v = fidelity_lower_bound(state)
+        v = classify(state).fidelity_lower_bound
         assert 0.0 < v <= 1.0 + 1e-12
     # dropping B costs exactly one bit of mutual information here
-    assert abs(fidelity_lower_bound(product_example(phi_plus())) - 0.5) < 1e-9
+    assert abs(classify(product_example(phi_plus())).fidelity_lower_bound - 0.5) < 1e-9
     # nothing about A is lost when B is discarded
-    assert abs(fidelity_lower_bound(classical_correlated()) - 1.0) < 1e-9
-    assert abs(fidelity_lower_bound(product_pure((1, 0), (1, 1), (0, 1))) - 1.0) < 1e-9
+    assert abs(classify(classical_correlated()).fidelity_lower_bound - 1.0) < 1e-9
+    assert abs(classify(product_pure((1, 0), (1, 1), (0, 1))).fidelity_lower_bound - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+def test_tol_must_be_finite_and_non_negative(monkeypatch, tol):
+    def no_spectra(state):
+        raise AssertionError("spectra computed before the tol check")
+
+    monkeypatch.setattr(classify_mod, "_spectra", no_spectra)
+    with pytest.raises(ValueError, match="tol must be finite and non-negative"):
+        classify(ghz(), tol)
+    # an infinite tol used to certify the separable family as PERFECT
+    with pytest.raises(ValueError, match="tol must be finite and non-negative"):
+        classify(sep_no_merge_family(0), tol)
+    with pytest.raises(ValueError, match="tol must be finite and non-negative"):
+        check_sep_family_obstruction(sep_no_merge_family(0), tol)
 
 
 def test_merging_cost_pure_values():

@@ -164,6 +164,19 @@ def test_classify_single_and_multi(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_non_finite_or_negative_tol_exits_2(tmp_path, capsys, tol):
+    ghz = _generate(tmp_path, "ghz")
+    sep = _generate(tmp_path, "sep-no-merge")
+    capsys.readouterr()
+    assert main(["classify", str(ghz), f"--tol={tol}"]) == 2
+    assert main(["classify", str(sep), f"--tol={tol}"]) == 2
+    assert main(["measure", str(ghz), "is-ppt", "--cut", "AB:C", f"--tol={tol}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("tol must be finite and non-negative") == 3
+
+
 def test_classify_requires_labels(tmp_path, capsys):
     phi = _generate(tmp_path, "phi-plus")
     capsys.readouterr()
@@ -378,3 +391,27 @@ def _readme_names(heading):
 def test_readme_lists_match_cli_tables():
     assert _readme_names("Families available to `generate`") == list(cli_mod._FAMILIES)
     assert _readme_names("Measures available to `measure`") == list(cli_mod._MEASURES)
+
+
+def _same_token(got, want):
+    """Equal as text, or as numbers (so ``1.0`` matches a comment's ``+1.0``)."""
+    if got == want:
+        return True
+    try:
+        return float(got) == float(want)
+    except ValueError:
+        return False
+
+
+def test_readme_quick_start_prints_what_its_comments_say(capsys):
+    code = re.search(r"```python\n(.*?)```", README.read_text(), re.DOTALL).group(1)
+    prints = [line for line in code.splitlines() if line.startswith("print(")]
+    assert prints and all("  # " in line for line in prints)
+    # the value is the comment up to a closing parenthetical remark
+    expected = [re.sub(r"\s*\(.*\)$", "", line.split("  # ", 1)[1]).split() for line in prints]
+    capsys.readouterr()
+    exec(compile(code, str(README), "exec"), {})
+    printed = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert len(printed) == len(expected)
+    for got, want in zip(printed, expected):
+        assert len(got) == len(want) and all(map(_same_token, got, want)), (got, want)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pptmerge import (
+    DIMENSION_CAP,
     Bipartition,
     DensityMatrix,
     PureState,
@@ -202,15 +203,26 @@ def test_tensor_matches_kron():
     )
 
 
-def test_tensor_type_and_size_guards():
+def test_tensor_type_and_size_guards(monkeypatch):
     rng = np.random.default_rng(5)
     rho = random_density(rng, (2, 2))
     psi = random_pure(rng, (2, 2))
     with pytest.raises(ValueError):
         tensor(rho, psi)
-    with pytest.raises(SizeLimitError):
-        tensor(rho, rho, max_dim=8)
-    assert tensor(rho, rho, max_dim=16).dims == (2, 2, 2, 2)
+
+    def basis_state(d):
+        return PureState((d,), np.eye(1, d)[0])
+
+    def no_kron(*args, **kwargs):
+        raise AssertionError("kron ran before the size check")
+
+    # one level past the cap fails before the product is built; the cap itself passes
+    with monkeypatch.context() as m:
+        m.setattr(np, "kron", no_kron)
+        with pytest.raises(SizeLimitError, match=f"{65 * 64} exceeds the cap {DIMENSION_CAP}"):
+            tensor(basis_state(65), basis_state(64))
+    assert 64 * 64 == DIMENSION_CAP
+    assert tensor(basis_state(64), basis_state(64)).dims == (64, 64)
 
 
 def test_partial_trace_recovers_factors():

@@ -171,8 +171,13 @@ def test_is_ppt():
     # Werner mixture: PT minimum eigenvalue is (1 - 3w) / 4
     assert is_ppt(_mix_with_noise(1.0 / 3.0), CUT01)
     assert not is_ppt(_mix_with_noise(0.34), CUT01)
-    with pytest.raises(ValueError):
-        is_ppt(phi_plus().to_density(), CUT01, tol=-1.0)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+def test_is_ppt_rejects_a_non_finite_or_negative_tol(tol):
+    # a NaN tol used to read every state as not PPT
+    with pytest.raises(ValueError, match="tol must be finite and non-negative"):
+        is_ppt(DensityMatrix((2, 2), np.eye(4) / 4), CUT01, tol=tol)
 
 
 def test_hashing_witness_frozen_values():

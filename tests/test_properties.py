@@ -35,7 +35,6 @@ from pptmerge import (
     trace_distance,
     von_neumann_entropy,
 )
-from pptmerge.classify import fidelity_lower_bound
 from pptmerge.core import _pt_array
 from helpers import haar_unitary, random_density, random_separable
 from oracles import partial_transpose_einsum, report_numbers, schmidt_overlap
@@ -102,7 +101,9 @@ def test_tripartite_witnesses_invariant_under_local_unitaries(layout, seed):
     rho_u = _rotate(rho, _local_unitary(rng, dims))
     state, state_u = TripartiteState(rho, a, b, c), TripartiteState(rho_u, a, b, c)
     assert abs(conditional_entropy(state_u) - conditional_entropy(state)) < 1e-8
-    assert abs(fidelity_lower_bound(state_u) - fidelity_lower_bound(state)) < 1e-8
+    assert abs(
+        classify(state_u).fidelity_lower_bound - classify(state).fidelity_lower_bound
+    ) < 1e-8
 
 
 @settings(max_examples=80, deadline=None)

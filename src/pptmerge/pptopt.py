@@ -50,8 +50,15 @@ __all__ = [
 # (D = 28) one solve took 3.2 s and 0.4 GB on two cores.
 OPT_SCHUR_CAP = 1600
 
-# Share of the step to the nearest cone boundary that the kernel takes.
-_STEP_TO_BOUNDARY = 0.95
+# Shares of the step to the nearest cone boundary (see _interior_point):
+# _STEP_FLOOR + _STEP_SLOPE min(1, a_p, a_d) for the corrector, so every
+# iterate stays at least 0.1% of the way from the boundary, and
+# _PREDICTOR_STEP for the predictor's estimate of the centring.
+_STEP_FLOOR, _STEP_SLOPE = 0.9, 0.099
+_PREDICTOR_STEP = 0.95
+
+# Matrix entries per row chunk of the Schur assembly (see _Coords.schur).
+_SCHUR_CHUNK = 2**16
 
 
 @dataclass
@@ -68,8 +75,8 @@ class PptOptConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if not self.tol > 0.0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
 
 
 @dataclass
@@ -136,6 +143,18 @@ class _Coords:
         flat = np.concatenate([np.arange(D) * (D + 1), i * D + j, j * D + i])
         pt = _pt_array(np.arange(D * D).reshape(D, D), dims, transpose).reshape(-1)
         self.entries = np.divmod(flat, D), np.divmod(pt[flat], D)
+        # the Schur rows of each chunk: the diagonal (first chunk only), then
+        # t0:t1 of the entries above and of those below it
+        step, h = max(1, _SCHUR_CHUNK // D**2), self.h
+        self.chunks = []
+        for t0 in range(0, h, step):
+            t1, lead = min(h, t0 + step), D if t0 == 0 else 0
+            rows = np.r_[0:lead, D + t0 : D + t1, D + h + t0 : D + h + t1]
+            self.chunks.append((t0, t1, lead, rows))
+        # work arrays for the largest chunk, so that schur allocates nothing
+        # large: freed large temporaries let malloc trim the heap, and each
+        # call then faulted it back in (2x the time per call at D = 9)
+        self.work = np.empty((3, (D + 2 * min(step, h)) * D * D), self.dtype)
 
     def mat(self, h: np.ndarray) -> np.ndarray:
         """The Hermitian matrices of a stack of coordinate vectors (k, n)."""
@@ -164,21 +183,23 @@ class _Coords:
         (b, a) leaves the real part over a Hermitian basis unchanged; so this
         is a Kronecker product read at the entries in the order diagonal,
         above, below, and the change to coordinates is sums and differences
-        of slices.  Rows go in chunks of about 2^11 entries: a whole
-        D^2 x D^2 product would add more to the peak memory than the Schur
-        matrix itself.
+        of slices.  Rows go in chunks of about ``_SCHUR_CHUNK`` entries, one
+        chunk for every D <= 16, through the work arrays made in
+        ``__init__``: a whole D^2 x D^2 product near ``OPT_SCHUR_CAP`` would
+        add more to the peak memory than the Schur matrix itself.
         """
         D, h, n, s, imag = self.D, self.h, self.n, 2**-0.5, self.imag
-        step = max(1, 2**11 // D**2)
-        for t0 in range(0, h, step):
-            t1, lead = min(h, t0 + step), D if t0 == 0 else 0
-            rows = np.r_[0:lead, D + t0 : D + t1, D + h + t0 : D + h + t1]
-            K = None
-            for X, Y, transposed in terms:
+        for t0, t1, lead, rows in self.chunks:
+            size = rows.size * D * D
+            K, term = (w[:size].reshape(rows.size, -1) for w in self.work[:2])
+            Yc = self.work[2, :size].reshape(-1, rows.size)
+            for k, (X, Y, transposed) in enumerate(terms):
                 (r, c) = self.entries[transposed]
-                term = X[r[rows]][:, r]
-                term *= Y[c][:, c[rows]].T
-                K = term if K is None else np.add(K, term, out=K)
+                np.take(X[r[rows]], r, axis=1, out=term, mode="clip")
+                np.take(Y[c], c[rows], axis=1, out=Yc, mode="clip")
+                np.multiply(term, Yc.T, out=term if k else K)
+                if k:
+                    K += term
             above, below = K[:, D : D + h], K[:, D + h :]
             above += below
             if imag:
@@ -190,11 +211,11 @@ class _Coords:
             K = K[:, :n]
             up, low = K[lead : lead + t1 - t0], K[lead + t1 - t0 :]
             up += low
-            out[D + t0 : D + t1] = s * up.real
+            np.multiply(up.real, s, out=out[D + t0 : D + t1])
             if imag:
                 low *= -2.0
                 low += up
-                out[D + h + t0 : D + h + t1] = s * low.imag
+                np.multiply(low.imag, s, out=out[D + h + t0 : D + h + t1])
             if lead:
                 out[:D] = (self.W.T @ K[:D]).real
 
@@ -221,14 +242,22 @@ def _interior_point(
 
     Each iteration is one Mehrotra predictor-corrector step along the HKM
     direction, with Schur matrix ``M_ij = Re Tr(L_i X L_j S^-1)`` summed
-    over blocks, solved twice by LU (numpy has no triangular solve); both
-    step lengths stop at ``_STEP_TO_BOUNDARY`` of the way to the cone
-    boundary.  ``value(S)`` scores a dual point and ``bound(X)`` gives a
-    certified upper bound from a positive definite primal point.  The dual
-    points scored are the iterates and, on each predictor direction, the
-    point where it meets the cone boundary (or its full step): that point
-    is feasible up to rounding and nearly optimal, where an iterate lags
-    the optimum by about its own gap.  The loop stops once the best value
+    over blocks, solved twice by LU (numpy has no triangular solve).  The
+    corrector's primal and dual steps go the share
+    ``gamma = 0.9 + 0.099 min(1, a_p, a_d)`` of the way to the cone
+    boundary, at most a full step, with a_p and a_d the predictor's step
+    lengths to it (the adaptive rule of SDPT3: K.-C. Toh, M. J. Todd and
+    R. H. Tutuncu, Optim. Methods Softw. 11, 545 (1999)).  Late iterations
+    then cut the gap 500-1000x each on an isotropic state, where a fixed
+    share of 0.95 held them to 20x.  The predictor's own steps, which only
+    estimate the centring, keep the share 0.95.
+
+    ``value(S)`` scores a dual point and ``bound(X)`` gives a certified
+    upper bound from a positive definite primal point.  The dual points
+    scored are the iterates and, on each predictor direction, the point
+    where it meets the cone boundary (or its full step): that point is
+    feasible up to rounding and nearly optimal, where an iterate lags the
+    optimum by about its own gap.  The loop stops once the best value
     and the best bound are within ``config.tol``.  Returns the best dual
     point's blocks, its value, the best bound and the iterations taken.
     """
@@ -258,9 +287,6 @@ def _interior_point(
         v = value(S)
         if v > best_value:
             best_value, best_S = v, S
-
-    def capped(a):
-        return min(1.0, _STEP_TO_BOUNDARY * a)
 
     for it in range(config.max_iters + 1):
         S = C + lin(z)
@@ -294,7 +320,8 @@ def _interior_point(
         dX = -X - _herm(X @ dS @ Sinv)
         ap, ad = boundary(dX, dS)
         score(S + min(1.0, ad) * dS)
-        ap, ad = capped(ap), capped(ad)
+        gamma = _STEP_FLOOR + _STEP_SLOPE * min(1.0, ap, ad)
+        ap, ad = min(1.0, _PREDICTOR_STEP * ap), min(1.0, _PREDICTOR_STEP * ad)
         mu_aff = float(np.sum((X + ap * dX) * (S + ad * dS).conj()).real) / n
         centring = (mu_aff / mu) ** 3 * mu
         # corrector: centring plus the second-order term of the predictor
@@ -302,7 +329,7 @@ def _interior_point(
         dz = np.linalg.solve(M, b + adj(centring * Sinv - second))
         dS = lin(dz)
         dX = centring * Sinv - X - _herm(X @ dS @ Sinv) - second
-        ap, ad = map(capped, boundary(dX, dS))
+        ap, ad = (min(1.0, gamma * a) for a in boundary(dX, dS))
         X = X + ap * dX
         z = z + ad * dz
     return best_S, best_value, best_bound, it
@@ -347,6 +374,7 @@ def max_overlap_ppt(psi: PureState, cut: Bipartition) -> PptOptResult:
     M = amps.reshape(dims).transpose(order).reshape(math.prod(shape[: len(cut.left)]), -1)
     U, s, Vh = np.linalg.svd(M, full_matrices=False)
     top = np.outer(U[:, 0], Vh[0]).reshape(shape).transpose(np.argsort(order)).reshape(-1)
+    top /= math.sqrt(np.vdot(top, top).real)  # |u|^2 |v|^2 can miss 1 by a few ulps
     cert = DensityMatrix(dims, np.outer(top, top.conj()))
     value = float(np.real(psi.amplitudes.conj() @ cert.data @ psi.amplitudes))
     return _result(cert, value, max(0.0, s[0] ** 2 - value), 0, cut.left, PptOptConfig.tol)

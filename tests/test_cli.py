@@ -290,6 +290,16 @@ def test_geodist_tripartite_defaults_to_ab_c(tmp_path, capsys):
     assert "converged=True" in captured.err and gap <= 1e-7
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-7"])
+def test_geodist_rejects_a_tol_that_is_not_finite_and_positive(tmp_path, capsys, tol):
+    # an infinite tol would report any bracket as converged
+    robust = _generate(tmp_path, "robust-vanishing")
+    capsys.readouterr()
+    assert main(["geodist", str(robust), f"--tol={tol}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "tol must be finite and positive" in captured.err
+
+
 def test_geodist_requires_cut_without_labels(tmp_path, capsys):
     phi = _generate(tmp_path, "phi-plus")
     capsys.readouterr()

@@ -21,6 +21,7 @@ from pptmerge import (
     tensor,
     trace_distance,
 )
+from pptmerge import pptopt
 from pptmerge.core import _pt_array
 from pptmerge.pptopt import _Coords
 from pptmerge.families import phi_plus, robust_vanishing_family
@@ -52,8 +53,9 @@ def _werner(d, p):
 def test_config_validation():
     with pytest.raises(ValueError):
         PptOptConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        PptOptConfig(tol=0.0)
+    for tol in (0.0, -1e-7, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            PptOptConfig(tol=tol)
 
 
 def test_max_overlap_bell_pair():
@@ -92,31 +94,40 @@ def _interior_margins(res, cut):
 
 
 @pytest.mark.parametrize("real", [False, True])
-def test_schur_matrix_matches_its_definition(real):
-    # Re Tr(B_i X B_j Y) over the basis, and over its partial transposes
+def test_schur_matrix_matches_its_definition(monkeypatch, real):
+    # Re Tr(B_i X B_j Y) over the basis, and over its partial transposes, in
+    # one row chunk at D = 6 and in 5 and 15 chunks (of 3 and 1 entry pairs)
     rng = np.random.default_rng(233)
     dims = (2, 3)
-    coords = _Coords(dims, (0,), real)
-    basis = coords.mat(np.eye(coords.n))
     g = rng.standard_normal((2, 6, 6)) + (0 if real else 1j) * rng.standard_normal((2, 6, 6))
     X, Y = g @ g.conj().transpose(0, 2, 1)
-    for transposed, B in ((0, basis), (1, _pt_array(basis, dims, (0,)))):
-        expected = np.einsum("iab,bc,jcd,da->ij", B, X, B, Y).real
-        got = np.empty_like(expected)
-        coords.schur([(X, Y, transposed)], got)
-        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+    for chunk, count in ((pptopt._SCHUR_CHUNK, 1), (2**7, 5), (1, 15)):
+        monkeypatch.setattr(pptopt, "_SCHUR_CHUNK", chunk)
+        coords = _Coords(dims, (0,), real)
+        assert len(coords.chunks) == count
+        basis = coords.mat(np.eye(coords.n))
+        for transposed, B in ((0, basis), (1, _pt_array(basis, dims, (0,)))):
+            expected = np.einsum("iab,bc,jcd,da->ij", B, X, B, Y).real
+            got = np.empty_like(expected)
+            coords.schur([(X, Y, transposed)], got)
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
 
 def test_certificates_are_unit_trace_states_feasible_to_rounding():
-    # the overlap's certificate is a product of unit vectors; the trace
-    # distance's is I/D plus traceless coordinates, an iterate or the point
-    # where a predictor step meets the cone boundary, so it needs no polishing
+    # the overlap's certificate is a product of unit vectors, renormalised;
+    # the trace distance's is I/D plus traceless coordinates, an iterate or
+    # the point where a predictor step meets the cone boundary, so it needs
+    # no polishing; 240 overlap targets (30 per layout) must all meet 1e-15
     rng = np.random.default_rng(211)
     cut = Bipartition((0,), (1, 2))
-    for res in (
-        max_overlap_ppt(random_pure(rng, (2, 2, 2)), cut),
-        min_trace_distance_ppt(random_density(rng, (2, 2, 2), rank=2), cut),
-    ):
+    solved = [(min_trace_distance_ppt(random_density(rng, (2, 2, 2), rank=2), cut), cut)]
+    for dims, left in [
+        ((2, 3), (0,)), ((2, 4), (0,)), ((3, 3), (0,)), ((3, 4), (0,)), ((4, 4), (0,)),
+        ((2, 2, 2, 2), (0,)), ((2, 2, 2, 2), (0, 2)), ((2, 2, 2, 2), (1, 2, 3)),
+    ] * 30:
+        cut = Bipartition.of(left, len(dims))
+        solved.append((max_overlap_ppt(random_pure(rng, dims), cut), cut))
+    for res, cut in solved:
         assert res.converged
         assert max(res.residuals.values()) <= 1e-15
         assert min(_interior_margins(res, cut)) >= -1e-15
@@ -221,7 +232,7 @@ def test_trace_distance_dual_certifies_symmetric_states_early(rho, exact):
     # bound meet it from either side
     res = min_trace_distance_ppt(rho, cut=CUT01)
     assert res.converged and 0.0 <= res.gap <= PptOptConfig().tol
-    assert res.iterations <= 60
+    assert res.iterations <= 7
     assert abs(res.value - exact) < 1e-6
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -66,10 +66,9 @@ def _hermitian_part(M: np.ndarray, atol: float) -> np.ndarray:
     return _herm(M)
 
 
-def _density_stack(stack: np.ndarray) -> np.ndarray:
-    """The :class:`DensityMatrix` checks and clamp over a stack (k, D, D), with
-    one batched ``eigh``; returns the checked stack or raises ``ValueError``
-    with the worst matrix's value."""
+def _unit_trace_hermitian(stack: np.ndarray) -> np.ndarray:
+    """The Hermitian parts of a stack (k, D, D), after the :class:`DensityMatrix`
+    checks that need no spectrum: Hermitian, finite and unit trace."""
     # Huge finite entries can overflow below; the checks then fail on inf or NaN.
     with np.errstate(over="ignore", invalid="ignore"):
         arr = _hermitian_part(stack, _HERMITICITY_ATOL)
@@ -79,15 +78,28 @@ def _density_stack(stack: np.ndarray) -> np.ndarray:
     worst = int(np.argmax(np.abs(tr - 1.0)))
     if not abs(tr[worst] - 1.0) <= _TRACE_ATOL:
         raise ValueError(f"trace must be 1 within {_TRACE_ATOL:.0e}, got {float(tr[worst])!r}")
-    w, V = np.linalg.eigh(arr)
+    return arr
+
+
+def _needs_clamp(w: np.ndarray) -> np.ndarray:
+    """Which of the ascending spectra w (k, D) the :class:`DensityMatrix` check
+    clamps; raises ``ValueError`` if any eigenvalue is below the floor."""
     low = w[:, 0]
     if not low.min() >= _EIG_FLOOR:
         raise ValueError(
             f"matrix is not positive semidefinite: min eigenvalue {low.min():.3e}"
         )
     # eigenvalues within rounding of zero (D eps max|lambda|) leave the bits as given
-    scale = arr.shape[-1] * np.finfo(float).eps * np.abs(w).max(axis=1)
-    clamp = low < -scale
+    return low < -(w.shape[-1] * np.finfo(float).eps * np.abs(w).max(axis=1))
+
+
+def _density_stack(stack: np.ndarray) -> np.ndarray:
+    """The :class:`DensityMatrix` checks and clamp over a stack (k, D, D), with
+    one batched ``eigh``; returns the checked stack or raises ``ValueError``
+    with the worst matrix's value."""
+    arr = _unit_trace_hermitian(stack)
+    w, V = np.linalg.eigh(arr)
+    clamp = _needs_clamp(w)
     if clamp.any():
         V = V[clamp]
         fixed = _herm((V * np.clip(w[clamp], 0.0, None)[:, None, :]) @ _dag(V))
@@ -152,6 +164,30 @@ class DensityMatrix:
 
     def is_pure(self, atol: float = 1e-9) -> bool:
         return self.purity() >= 1.0 - atol
+
+
+def _density_with_spectrum(
+    dims: tuple[int, ...], data: np.ndarray, spectrum: Callable[[np.ndarray], np.ndarray]
+) -> tuple[DensityMatrix, np.ndarray]:
+    """``DensityMatrix(dims, data)``, checked against a spectrum the caller needs
+    anyway, and that spectrum.
+
+    ``spectrum(arr)`` returns the ascending eigenvalues (k, D) of a stack whose
+    first matrix is ``arr``, the checked Hermitian part of ``data``; its first
+    row takes the place of the constructor's ``eigh``.  ``dims`` must already be
+    checked and match ``data``.  A matrix the constructor would clamp goes
+    through it instead, and ``spectrum`` is taken again of the clamped matrix.
+    """
+    arr = _unit_trace_hermitian(np.asarray(data, dtype=complex)[None])[0]
+    w = spectrum(arr)
+    if _needs_clamp(w[:1])[0]:
+        rho = DensityMatrix(dims, arr)
+        return rho, spectrum(rho.data)
+    arr.flags.writeable = False
+    rho = object.__new__(DensityMatrix)
+    object.__setattr__(rho, "dims", dims)
+    object.__setattr__(rho, "data", arr)
+    return rho, w
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ from .core import (
     SizeLimitError,
     _check_cut,
     _dag,
+    _density_with_spectrum,
     _herm,
     _pt_array,
 )
@@ -88,7 +89,8 @@ class PptOptResult:
     ``converged`` is false.  ``gap`` is the distance from ``value`` to a
     certified bound on the other side, and ``converged`` means
     ``gap <= tol``.  ``residuals`` holds the certificate's trace, PSD and
-    PPT violations.
+    PPT violations; the PSD and PPT ones come from the same spectrum that
+    validated the certificate as a :class:`DensityMatrix`.
     """
 
     value: float
@@ -336,19 +338,25 @@ def _interior_point(
 
 
 def _result(
-    cert: DensityMatrix,
-    value: float,
-    gap: float,
-    iterations: int,
+    dims: tuple[int, ...],
+    matrix: np.ndarray,
     transpose,
+    score: Callable[[np.ndarray], tuple[float, float]],
+    iterations: int,
     tol: float,
 ) -> PptOptResult:
-    low = np.linalg.eigvalsh(np.stack([cert.data, _pt_array(cert.data, cert.dims, transpose)]))
+    """The result whose certificate is ``DensityMatrix(dims, matrix)``, validated
+    by the spectrum of ``[sigma, sigma^Gamma]`` that also gives its residuals;
+    ``score(sigma)`` returns the certificate's value and gap."""
+    cert, w = _density_with_spectrum(
+        dims, matrix, lambda a: np.linalg.eigvalsh(np.stack([a, _pt_array(a, dims, transpose)]))
+    )
     residuals = {
         "trace": abs(float(np.trace(cert.data).real) - 1.0),
-        "psd": max(0.0, -float(low[0, 0])),
-        "ppt": max(0.0, -float(low[1, 0])),
+        "psd": max(0.0, -float(w[0, 0])),
+        "ppt": max(0.0, -float(w[1, 0])),
     }
+    value, gap = score(cert.data)
     return PptOptResult(value, cert, iterations, gap <= tol, residuals, gap)
 
 
@@ -375,9 +383,12 @@ def max_overlap_ppt(psi: PureState, cut: Bipartition) -> PptOptResult:
     U, s, Vh = np.linalg.svd(M, full_matrices=False)
     top = np.outer(U[:, 0], Vh[0]).reshape(shape).transpose(np.argsort(order)).reshape(-1)
     top /= math.sqrt(np.vdot(top, top).real)  # |u|^2 |v|^2 can miss 1 by a few ulps
-    cert = DensityMatrix(dims, np.outer(top, top.conj()))
-    value = float(np.real(psi.amplitudes.conj() @ cert.data @ psi.amplitudes))
-    return _result(cert, value, max(0.0, s[0] ** 2 - value), 0, cut.left, PptOptConfig.tol)
+
+    def score(sigma):
+        value = float(np.real(psi.amplitudes.conj() @ sigma @ psi.amplitudes))
+        return value, max(0.0, s[0] ** 2 - value)
+
+    return _result(dims, np.outer(top, top.conj()), cut.left, score, 0, PptOptConfig.tol)
 
 
 def min_trace_distance_ppt(
@@ -428,8 +439,9 @@ def min_trace_distance_ppt(
         coords, blocks, np.array([False, False, False, True]), C, b, z,
         lambda S: -tdist(S[2]), bound, config,
     )
-    cert = DensityMatrix(dims, S[2])
-    return _result(cert, tdist(cert.data), upper - value, iterations, cut.left, config.tol)
+    return _result(
+        dims, S[2], cut.left, lambda sigma: (tdist(sigma), upper - value), iterations, config.tol
+    )
 
 
 def _as_pure(state: PureState | DensityMatrix) -> PureState | None:

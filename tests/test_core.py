@@ -1,5 +1,6 @@
 """Containers and linear algebra primitives."""
 
+import re
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from pptmerge import (
     partial_transpose,
     tensor,
 )
+from pptmerge.core import _density_with_spectrum
 from helpers import haar_unitary, random_density, random_ket, random_pure
 from oracles import partial_trace_einsum
 
@@ -61,6 +63,45 @@ def test_density_matrix_clamps_tiny_negative_eigenvalue():
     w = np.linalg.eigvalsh(rho.data)
     assert w[0] >= 0.0
     assert abs(np.trace(rho.data).real - 1.0) < 1e-14
+
+
+def _eigvalsh_counted(calls):
+    def spectrum(a):
+        calls.append(a)
+        return np.linalg.eigvalsh(a)[None]
+
+    return spectrum
+
+
+@pytest.mark.parametrize(
+    "m, measured",
+    [
+        (np.diag([0.6, 0.4, 0.0]), 1),
+        # -5e-10 lies between the -1e-9 floor and the rounding floor, so the
+        # constructor clamps it, and the clamped matrix is measured again
+        (np.diag([0.6, 0.4 + 5e-10, -5e-10]), 2),
+    ],
+)
+def test_density_with_spectrum_has_the_constructors_bits(m, measured):
+    calls = []
+    rho, w = _density_with_spectrum((3,), m, _eigvalsh_counted(calls))
+    expected = DensityMatrix((3,), m).data
+    assert rho.dims == (3,) and rho.data.dtype == expected.dtype
+    assert rho.data.tobytes() == expected.tobytes()
+    assert not rho.data.flags.writeable
+    assert len(calls) == measured
+    np.testing.assert_array_equal(w, np.linalg.eigvalsh(expected)[None])
+
+
+@pytest.mark.parametrize(
+    "m", [np.diag([1.0 + 2e-9, -2e-9, 0.0]), np.diag([0.5, 0.5 + 2e-10, 0.0])],
+    ids=["below-eigenvalue-floor", "trace-off-by-2e-10"],
+)
+def test_density_with_spectrum_raises_the_constructors_errors(m):
+    with pytest.raises(ValueError) as expected:
+        DensityMatrix((3,), m)
+    with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+        _density_with_spectrum((3,), m, _eigvalsh_counted([]))
 
 
 def test_density_matrix_rejects_bad_dims():

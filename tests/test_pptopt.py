@@ -131,6 +131,24 @@ def test_certificates_are_unit_trace_states_feasible_to_rounding():
         assert res.converged
         assert max(res.residuals.values()) <= 1e-15
         assert min(_interior_margins(res, cut)) >= -1e-15
+        # validated from the residuals' spectrum, yet the constructor's bits
+        cert = res.certificate.data
+        again = DensityMatrix(res.certificate.dims, cert.copy()).data
+        assert again.dtype == cert.dtype and again.tobytes() == cert.tobytes()
+        assert not cert.flags.writeable
+
+
+def test_max_overlap_takes_one_eigendecomposition(monkeypatch):
+    # one batched spectrum both validates the certificate and gives its residuals
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(
+            np.linalg, name, lambda *a, _real=real, **k: calls.append(1) or _real(*a, **k)
+        )
+    res = max_overlap_ppt(random_pure(np.random.default_rng(241), (3, 3)), CUT01)
+    assert len(calls) == 1
+    assert max(res.residuals.values()) <= 1e-15
 
 
 def test_max_overlap_dimension_cap(monkeypatch):

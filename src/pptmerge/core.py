@@ -160,7 +160,8 @@ class DensityMatrix:
         return self.data.shape[0]
 
     def purity(self) -> float:
-        return float(np.real(np.trace(self.data @ self.data)))
+        """Tr rho^2, as the sum of |rho_ij|^2 (equal for Hermitian rho): O(D^2)."""
+        return float(np.vdot(self.data, self.data).real)
 
     def is_pure(self, atol: float = 1e-9) -> bool:
         return self.purity() >= 1.0 - atol
@@ -174,8 +175,10 @@ def _density_with_spectrum(
 
     ``spectrum(arr)`` returns the ascending eigenvalues (k, D) of a stack whose
     first matrix is ``arr``, the checked Hermitian part of ``data``; its first
-    row takes the place of the constructor's ``eigh``.  ``dims`` must already be
-    checked and match ``data``.  A matrix the constructor would clamp goes
+    row takes the place of the constructor's ``eigh``.  A row may hold proven
+    bounds instead: a lower bound on the least eigenvalue first and one on
+    the largest last, which is all the clamp decision reads.  ``dims`` must
+    already be checked and match ``data``.  A matrix the constructor would clamp goes
     through it instead, and ``spectrum`` is taken again of the clamped matrix.
     """
     arr = _unit_trace_hermitian(np.asarray(data, dtype=complex)[None])[0]

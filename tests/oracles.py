@@ -153,3 +153,26 @@ def sep_family_obstruction(matrix, dims, a, b, c, tol=1e-9, weight_floor=1e-6):
         ])
     rank = int(np.linalg.matrix_rank(np.array(rows)))
     return rank == 15, float(rank)
+
+
+def least_eigenvalue_near_rank_one(matrix):
+    """Least eigenvalue of a Hermitian matrix that is rank one up to rounding,
+    resolved far below float64's own eigensolver error.
+
+    A Householder reflector H, built in ``np.clongdouble`` from the float64
+    top eigenvector v, maps v onto the e_0 axis.  ``H^dag A H`` is formed in
+    long double (error about D 2^-64 |A|), so its trailing (D-1) x (D-1)
+    block C holds every small eigenvalue; their coupling to the top row is
+    of order eps |A|, which moves them by about its square over |A|.  C's
+    entries are of order eps, so float64 ``eigvalsh`` of C errs by about
+    eps^2.
+    """
+    A = np.asarray(matrix, dtype=complex)
+    v = np.linalg.eigh(A)[1][:, -1].astype(np.clongdouble)
+    v /= np.sqrt(np.sum(np.abs(v) ** 2))
+    phase = v[0] / abs(v[0]) if v[0] != 0 else np.clongdouble(1)
+    w = v.copy()
+    w[0] += phase
+    H = np.eye(len(v), dtype=np.clongdouble) - 2 * np.outer(w, w.conj()) / np.sum(np.abs(w) ** 2)
+    B = H.conj().T @ A.astype(np.clongdouble) @ H
+    return float(np.linalg.eigvalsh(B[1:, 1:].astype(complex))[0])

@@ -165,6 +165,16 @@ def test_purity_and_is_pure():
     assert abs(mixed.purity() - 0.5) < 1e-14
 
 
+def test_purity_matches_the_trace_of_the_square():
+    # the O(D^2) sum of |rho_ij|^2 agrees with Tr(rho rho) to rounding
+    rng = np.random.default_rng(263)
+    for dims in [(2,), (2, 2), (3, 3), (2, 2, 2), (4, 4), (8, 8)]:
+        for rank in (1, 2, None):
+            rho = random_density(rng, dims, rank=rank)
+            expected = np.trace(rho.data @ rho.data).real
+            assert abs(rho.purity() - expected) <= 1e-15
+
+
 def test_pure_state_validation():
     psi = PureState((2, 2), PHI_PLUS)
     assert psi.dim == 4

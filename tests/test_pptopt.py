@@ -26,7 +26,7 @@ from pptmerge.core import _pt_array
 from pptmerge.pptopt import _Coords
 from pptmerge.families import phi_plus, robust_vanishing_family
 from helpers import random_density, random_pure
-from oracles import best_product_overlap, schmidt_overlap
+from oracles import best_product_overlap, least_eigenvalue_near_rank_one, schmidt_overlap
 
 CUT01 = Bipartition((0,), (1,))
 TOL = PptOptConfig().tol
@@ -138,17 +138,75 @@ def test_certificates_are_unit_trace_states_feasible_to_rounding():
         assert not cert.flags.writeable
 
 
-def test_max_overlap_takes_one_eigendecomposition(monkeypatch):
-    # one batched spectrum both validates the certificate and gives its residuals
-    calls = []
-    for name in ("eigh", "eigvalsh"):
-        real = getattr(np.linalg, name)
-        monkeypatch.setattr(
-            np.linalg, name, lambda *a, _real=real, **k: calls.append(1) or _real(*a, **k)
-        )
-    res = max_overlap_ppt(random_pure(np.random.default_rng(241), (3, 3)), CUT01)
-    assert len(calls) == 1
-    assert max(res.residuals.values()) <= 1e-15
+def test_overlap_takes_no_eigendecomposition(monkeypatch):
+    # the certificate's spectrum is proved, so a pure target costs one SVD
+    # and no eigendecomposition, up to D = 1024
+    calls = {"eig": 0, "svd": 0}
+    for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd"):
+        real, key = getattr(np.linalg, name), "svd" if name == "svd" else "eig"
+
+        def counted(*a, _real=real, _key=key, **k):
+            calls[_key] += 1
+            return _real(*a, **k)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    rng = np.random.default_rng(241)
+    for dims, left in [((3, 3), (0,)), ((2, 2, 2, 2), (0, 2)), ((32, 32), (0,))]:
+        psi, cut = random_pure(rng, dims), Bipartition.of(left, len(dims))
+        for solve in (max_overlap_ppt, geometric_distillability_ppt):
+            calls.update(eig=0, svd=0)
+            res = solve(psi, cut)
+            assert calls == {"eig": 0, "svd": 1}
+            detail = res if isinstance(res, PptOptResult) else res.detail
+            assert max(detail.residuals.values()) <= 1e-15
+
+
+def test_overlap_residuals_bound_the_exact_violation():
+    # the proven psd and ppt residuals bound the exact least eigenvalues of
+    # the stored bits, resolved by a long-double oracle; float64 eigvalsh
+    # cannot be the oracle, as on these targets it reads up to 2.4 eps, above
+    # a proven bound on 143 of them
+    rng = np.random.default_rng(1009)
+    layouts = [
+        ((2, 2), (0,)), ((2, 3), (0,)), ((3, 2), (0,)), ((2, 4), (0,)), ((3, 3), (0,)),
+        ((4, 3), (0,)), ((3, 4), (0,)), ((4, 4), (0,)), ((2, 2, 2), (0,)),
+        ((2, 2, 2), (0, 1)), ((2, 2, 2, 2), (0, 2)), ((2, 2, 2, 2), (1, 2, 3)),
+    ]
+    count = 0
+    for _ in range(125):
+        for dims, left in layouts:
+            for real in (False, True):
+                D = int(np.prod(dims))
+                a = rng.standard_normal(D) + (0 if real else 1j) * rng.standard_normal(D)
+                psi = PureState(dims, a / np.linalg.norm(a))
+                res = max_overlap_ppt(psi, Bipartition.of(left, len(dims)))
+                cert = res.certificate.data
+                assert res.residuals["psd"] >= -least_eigenvalue_near_rank_one(cert)
+                pt = _pt_array(cert, dims, left)
+                assert res.residuals["ppt"] >= -least_eigenvalue_near_rank_one(pt)
+                again = DensityMatrix(dims, cert.copy()).data
+                assert again.dtype == cert.dtype and again.tobytes() == cert.tobytes()
+                count += 1
+    assert count == 3000
+
+
+@pytest.mark.parametrize("v", [[1, 1, 1, 1], [1, 1j, -1, -1j], [1, -1j, 1j, 1]])
+def test_exact_spectrum_oracle_on_known_spectra(v):
+    # H = I - v v^dag / 2 is unitary with entries of modulus 1/2, so every
+    # entry of H diag(lam) H^dag is a sum of +-lam_k / 4 (times 1 or i) and
+    # is exact in float64 for these lam; float64 eigvalsh errs by up to about
+    # 0.5 eps on them, the oracle must stay within 1e-19; padded with zeros
+    # and permuted to D = 16, the least eigenvalue is min(0, lam)
+    e = 2.0**-52
+    v = np.array(v, dtype=complex)
+    H = np.eye(4) - np.outer(v, v.conj()) / 2
+    assert np.array_equal(H @ H.conj().T, np.eye(4))
+    perm = np.random.default_rng(1013).permutation(16)
+    for lam in ([1, -e, 0, 0], [1, -e, 2 * e, 0], [1 - e, -3 * e, e, 2 * e], [1, 0, 0, 0]):
+        A = (H * np.array(lam)) @ H.conj().T
+        assert abs(least_eigenvalue_near_rank_one(A) - min(lam)) <= 1e-19
+        padded = np.kron(A, np.diag(np.eye(4)[0]))[np.ix_(perm, perm)]
+        assert abs(least_eigenvalue_near_rank_one(padded) - min(0.0, *lam)) <= 1e-19
 
 
 def test_max_overlap_dimension_cap(monkeypatch):

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bloch import _family_rank
-from .core import TripartiteState, _check_tol, _density_stack, _eigvalsh, _pt_array, _ptrace_array
+from .core import TripartiteState, _check_tol, _pt_array, _ptrace_array
 from .families import SEP_FAMILY_BLOCKS
 from .measures import _entropy, conditional_entropy
 
@@ -134,7 +134,7 @@ def _spectra(state: TripartiteState) -> _Spectra:
         stack, inner = arr.reshape(1, da * db * dc, -1), (da, db, dc)
 
     def entropy(matrices: np.ndarray) -> float:
-        return _entropy(_eigvalsh(matrices))
+        return _entropy(np.linalg.eigvalsh(matrices))
 
     s_abc = entropy(stack)
     ac = _ptrace_array(stack, inner, (0, 2))
@@ -143,7 +143,7 @@ def _spectra(state: TripartiteState) -> _Spectra:
     bc = np.trace(arr, axis1=0, axis2=2)
     s_bc = entropy(bc)
     s_c = entropy(_ptrace_array(bc, inner[1:], (1,)))
-    pt = _eigvalsh(_pt_array(stack, inner, (0, 1)))
+    pt = np.linalg.eigvalsh(_pt_array(stack, inner, (0, 1)))
     return _Spectra(
         conditional_entropy=s_bc - s_c,
         hashing_a_bc=max(s_a - s_abc, s_bc - s_abc),
@@ -208,8 +208,9 @@ def check_sep_family_obstruction(state: TripartiteState, tol: float = DEFAULT_TO
     qubits, all p_i above 1e-6, every sigma_i PPT across B:C, and the
     sigma_i spanning the full 15-dimensional Bloch space.  States with that
     structure admit no perfect merge even though they are unentangled.
-    The da diagonal blocks are checked as one (da, 4, 4) stack: one batched
-    validation, one batched PPT spectrum and one Bloch-rank SVD.
+    The da diagonal blocks of the validated state, divided by their weights,
+    are checked as one (da, 4, 4) stack: one batched PPT spectrum and one
+    Bloch-rank SVD.
     """
     _check_tol(tol)
     condition = (
@@ -240,8 +241,8 @@ def check_sep_family_obstruction(state: TripartiteState, tol: float = DEFAULT_TO
     weights = np.trace(blocks, axis1=1, axis2=2).real
     if weights.min() < _OBSTRUCTION_WEIGHT_FLOOR:
         return fail()
-    blocks = _density_stack(blocks / weights[:, None, None])
-    if not _eigvalsh(_pt_array(blocks, (2, 2), (0,)))[:, 0].min() >= -tol:
+    blocks = blocks / weights[:, None, None]
+    if not np.linalg.eigvalsh(_pt_array(blocks, (2, 2), (0,)))[:, 0].min() >= -tol:
         return fail()
     rank = _family_rank(blocks)
     return CriterionResult(

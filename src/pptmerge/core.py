@@ -58,54 +58,53 @@ def _herm(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + _dag(M))
 
 
-def _hermitian_part(M: np.ndarray, atol: float) -> np.ndarray:
-    """(M + M^dag) / 2, after checking that no entry of M - M^dag exceeds atol."""
-    dev = float(np.max(np.abs(M - _dag(M))))
-    if dev > atol:
-        raise ValueError(f"matrix is not Hermitian: max |M - M^dag| = {dev:.3e}")
-    return _herm(M)
-
-
-def _unit_trace_hermitian(stack: np.ndarray) -> np.ndarray:
-    """The Hermitian parts of a stack (k, D, D), after the :class:`DensityMatrix`
-    checks that need no spectrum: Hermitian, finite and unit trace."""
+def _unit_trace_hermitian(M: np.ndarray) -> np.ndarray:
+    """(M + M^dag) / 2, after the :class:`DensityMatrix` checks that need no
+    spectrum: Hermitian within 1e-10 (max entry deviation), finite and unit trace."""
     # Huge finite entries can overflow below; the checks then fail on inf or NaN.
     with np.errstate(over="ignore", invalid="ignore"):
-        arr = _hermitian_part(stack, _HERMITICITY_ATOL)
+        dev = float(np.max(np.abs(M - _dag(M))))
+        if dev > _HERMITICITY_ATOL:
+            raise ValueError(f"matrix is not Hermitian: max |M - M^dag| = {dev:.3e}")
+        arr = _herm(M)
         if not np.isfinite(arr.view(float)).all():
             raise ValueError("matrix entries overflow to non-finite values")
-        tr = np.trace(arr, axis1=-2, axis2=-1).real
-    worst = int(np.argmax(np.abs(tr - 1.0)))
-    if not abs(tr[worst] - 1.0) <= _TRACE_ATOL:
-        raise ValueError(f"trace must be 1 within {_TRACE_ATOL:.0e}, got {float(tr[worst])!r}")
+        tr = np.trace(arr).real
+    if not abs(tr - 1.0) <= _TRACE_ATOL:
+        raise ValueError(f"trace must be 1 within {_TRACE_ATOL:.0e}, got {float(tr)!r}")
     return arr
 
 
-def _needs_clamp(w: np.ndarray) -> np.ndarray:
-    """Which of the ascending spectra w (k, D) the :class:`DensityMatrix` check
-    clamps; raises ``ValueError`` if any eigenvalue is below the floor."""
-    low = w[:, 0]
-    if not low.min() >= _EIG_FLOOR:
-        raise ValueError(
-            f"matrix is not positive semidefinite: min eigenvalue {low.min():.3e}"
-        )
+def _needs_clamp(w: np.ndarray) -> bool:
+    """Whether the :class:`DensityMatrix` check clamps a matrix with ascending
+    spectrum w; raises ``ValueError`` if an eigenvalue is below the floor."""
+    if not w[0] >= _EIG_FLOOR:
+        raise ValueError(f"matrix is not positive semidefinite: min eigenvalue {w[0]:.3e}")
     # eigenvalues within rounding of zero (D eps max|lambda|) leave the bits as given
-    return low < -(w.shape[-1] * np.finfo(float).eps * np.abs(w).max(axis=1))
+    return bool(w[0] < -(w.shape[-1] * np.finfo(float).eps * np.abs(w).max()))
 
 
-def _density_stack(stack: np.ndarray) -> np.ndarray:
-    """The :class:`DensityMatrix` checks and clamp over a stack (k, D, D), with
-    one batched ``eigh``; returns the checked stack or raises ``ValueError``
-    with the worst matrix's value."""
-    arr = _unit_trace_hermitian(stack)
-    w, V = np.linalg.eigh(arr)
-    clamp = _needs_clamp(w)
-    if clamp.any():
-        V = V[clamp]
-        fixed = _herm((V * np.clip(w[clamp], 0.0, None)[:, None, :]) @ _dag(V))
-        fixed /= np.trace(fixed, axis1=-2, axis2=-1).real[:, None, None]
-        arr[clamp] = fixed
-    return arr
+def _checked(
+    data: np.ndarray, spectrum: Callable[[np.ndarray], np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The :class:`DensityMatrix` checks and clamp of one square matrix: returns
+    the checked matrix and ``spectrum`` of it, or raises ``ValueError``.
+
+    ``spectrum(arr)`` returns the ascending eigenvalues (k, D) of a stack whose
+    first matrix is ``arr``; only its first row is read here.  That row may
+    hold proven bounds instead: a lower bound on the least eigenvalue first
+    and one on the largest last, which is all the clamp decision reads.  A
+    matrix that needs the clamp is rebuilt from its ``eigh`` with negative
+    eigenvalues set to zero, renormalised, and measured by ``spectrum`` again.
+    """
+    arr = _unit_trace_hermitian(data)
+    w = spectrum(arr)
+    if _needs_clamp(w[0]):
+        lam, V = np.linalg.eigh(arr)
+        arr = _herm((V * np.clip(lam, 0.0, None)) @ _dag(V))
+        arr /= np.trace(arr).real
+        w = spectrum(arr)
+    return arr, w
 
 
 def _check_dims(dims) -> tuple[int, ...]:
@@ -149,7 +148,7 @@ class DensityMatrix:
             raise ValueError(
                 f"matrix shape {arr.shape} does not match dims {dims} (D={D})"
             )
-        arr = _density_stack(arr[None])[0]
+        arr, _ = _checked(arr, lambda a: np.linalg.eigvalsh(a)[None])
         arr.flags.writeable = False
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "data", arr)
@@ -171,21 +170,11 @@ def _density_with_spectrum(
     dims: tuple[int, ...], data: np.ndarray, spectrum: Callable[[np.ndarray], np.ndarray]
 ) -> tuple[DensityMatrix, np.ndarray]:
     """``DensityMatrix(dims, data)``, checked against a spectrum the caller needs
-    anyway, and that spectrum.
+    anyway (see :func:`_checked`), and that spectrum of the stored matrix.
 
-    ``spectrum(arr)`` returns the ascending eigenvalues (k, D) of a stack whose
-    first matrix is ``arr``, the checked Hermitian part of ``data``; its first
-    row takes the place of the constructor's ``eigh``.  A row may hold proven
-    bounds instead: a lower bound on the least eigenvalue first and one on
-    the largest last, which is all the clamp decision reads.  ``dims`` must
-    already be checked and match ``data``.  A matrix the constructor would clamp goes
-    through it instead, and ``spectrum`` is taken again of the clamped matrix.
+    ``dims`` must already be checked and match ``data``.
     """
-    arr = _unit_trace_hermitian(np.asarray(data, dtype=complex)[None])[0]
-    w = spectrum(arr)
-    if _needs_clamp(w[:1])[0]:
-        rho = DensityMatrix(dims, arr)
-        return rho, spectrum(rho.data)
+    arr, w = _checked(np.asarray(data, dtype=complex), spectrum)
     arr.flags.writeable = False
     rho = object.__new__(DensityMatrix)
     object.__setattr__(rho, "dims", dims)
@@ -404,8 +393,3 @@ def partial_transpose(rho: DensityMatrix, cut: Bipartition) -> np.ndarray:
     """
     _check_cut(cut, len(rho.dims))
     return _pt_array(rho.data, rho.dims, cut.left)
-
-
-def _eigvalsh(matrix: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a matrix assumed Hermitian; no contract checks."""
-    return np.linalg.eigvalsh(_herm(matrix))

@@ -18,8 +18,6 @@ from .core import (
     TripartiteState,
     _check_cut,
     _check_tol,
-    _eigvalsh,
-    _herm,
     _ptrace_array,
     partial_transpose,
 )
@@ -70,8 +68,8 @@ def _entropy(w: np.ndarray) -> float:
 
 def _marginal_entropy(rho: DensityMatrix, keep: Sequence[int]) -> float:
     """Entropy of the marginal on ``keep``, built without DensityMatrix validation:
-    the marginal of a valid state is valid, and validating costs an extra eigh."""
-    return _entropy(_eigvalsh(_ptrace_array(rho.data, rho.dims, keep)))
+    the marginal of a valid state is valid, and validating costs an extra spectrum."""
+    return _entropy(np.linalg.eigvalsh(_ptrace_array(rho.data, rho.dims, keep)))
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
@@ -103,7 +101,7 @@ def _rank_factor(matrix: np.ndarray) -> np.ndarray:
     Truncation matters: carrying null-space eigenvalues of size eps through
     a square root would inject sqrt(eps)-sized noise into the fidelity.
     """
-    w, V = np.linalg.eigh(_herm(matrix))
+    w, V = np.linalg.eigh(matrix)
     keep = w > 1e-14
     return V[:, keep] * np.sqrt(w[keep])
 
@@ -130,7 +128,7 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Half the trace norm of rho - sigma, in [0, 1]."""
     if rho.dim != sigma.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    w = _eigvalsh(rho.data - sigma.data)
+    w = np.linalg.eigvalsh(rho.data - sigma.data)
     return float(min(1.0, 0.5 * np.sum(np.abs(w))))
 
 
@@ -140,14 +138,14 @@ def log_negativity(rho: DensityMatrix, cut: Bipartition) -> float:
     Zero for every state that stays positive under the partial transpose,
     strictly positive otherwise.
     """
-    w = _eigvalsh(partial_transpose(rho, cut))
+    w = np.linalg.eigvalsh(partial_transpose(rho, cut))
     return max(0.0, float(np.log2(np.sum(np.abs(w)))))
 
 
 def is_ppt(rho: DensityMatrix, cut: Bipartition, tol: float = PPT_TOL) -> bool:
     """Whether the partial transpose across ``cut`` is positive to ``tol``."""
     _check_tol(tol)
-    w = _eigvalsh(partial_transpose(rho, cut))
+    w = np.linalg.eigvalsh(partial_transpose(rho, cut))
     return bool(w[0] >= -tol)
 
 

@@ -357,7 +357,7 @@ def _result(
     by ``spectrum(sigma)``, the ascending spectra (2, D) of sigma and
     sigma^Gamma, which also give its residuals; ``score(sigma)`` returns the
     certificate's value and gap.  A row may be proven rather than measured
-    (see :func:`core._density_with_spectrum`)."""
+    (see :func:`core._checked`)."""
     cert, w = _density_with_spectrum(dims, matrix, spectrum)
     residuals = {
         "trace": abs(float(np.trace(cert.data).real) - 1.0),

@@ -24,6 +24,7 @@ from pptmerge import (
     product_example,
     product_pure,
     robust_vanishing_family,
+    save_state,
     sep_no_merge_family,
     tensor,
 )
@@ -34,6 +35,7 @@ from pptmerge.classify import (
     VANISHING,
     VERDICTS,
 )
+from pptmerge.cli import main
 from helpers import haar_unitary, random_density, random_separable, random_tripartite
 from oracles import report_numbers, sep_family_obstruction
 
@@ -210,16 +212,20 @@ def test_sep_family_obstruction_matches_block_oracle():
 
 def test_classify_checks_sep_family_blocks_as_one_stack(monkeypatch):
     # the state is classical on A, so the six spectra come from its 15 diagonal
-    # blocks; the obstruction check adds one batched eigh validating the blocks
-    # and one batched eigvalsh of their B:C partial transposes; no DensityMatrix
-    # per block, and no eigendecomposition sees a matrix larger than 4x4
+    # blocks; the obstruction check adds one batched eigvalsh of the blocks' B:C
+    # partial transposes and reads the blocks of the validated state without
+    # checking them again: no eigh, no DensityMatrix per block, and no
+    # eigendecomposition sees a matrix larger than 4x4 or one that is not
+    # exactly Hermitian
     state = sep_no_merge_family(11)
-    shapes = []
+    seen = {"eigh": [], "eigvalsh": []}
     calls = {"density": 0}
 
-    def recording(fn):
+    def recording(name):
+        fn = getattr(np.linalg, name)
+
         def wrapped(a, *args, **kwargs):
-            shapes.append(np.shape(a))
+            seen[name].append(np.asarray(a))
             return fn(a, *args, **kwargs)
 
         return wrapped
@@ -231,15 +237,39 @@ def test_classify_checks_sep_family_blocks_as_one_stack(monkeypatch):
 
         return wrapped
 
-    monkeypatch.setattr(np.linalg, "eigh", recording(np.linalg.eigh))
-    monkeypatch.setattr(np.linalg, "eigvalsh", recording(np.linalg.eigvalsh))
+    monkeypatch.setattr(np.linalg, "eigh", recording("eigh"))
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording("eigvalsh"))
     monkeypatch.setattr(DensityMatrix, "__post_init__", counting(DensityMatrix.__post_init__))
     report = classify(state)
     assert report.verdict == NO_PERFECT_MERGE
     assert report.criteria[-1].witness == 15.0
-    assert len(shapes) <= 8
-    assert max(shape[-1] for shape in shapes) <= 4, shapes
+    assert seen["eigh"] == []
+    assert len(seen["eigvalsh"]) == 7
+    assert max(m.shape[-1] for m in seen["eigvalsh"]) <= 4
+    assert all(np.array_equal(m, m.conj().swapaxes(-1, -2)) for m in seen["eigvalsh"])
     assert calls["density"] == 0
+
+
+def test_obstruction_reads_the_validated_blocks_of_a_state_with_a_tiny_flag(tmp_path):
+    # a 16th flag of weight 2e-6 carries a rounding-level eigenvalue of -3e-15,
+    # which the constructor keeps bit for bit; divided by its weight it reads
+    # -1.5e-9, below the -1e-9 floor, so checking the normalised blocks as
+    # density matrices again would reject this valid state
+    _, blocks = _family_blocks(3)
+    flag = np.diag([2e-6, 0.0, 0.0, -3e-15])
+    state = _flagged([0.986] + [1e-3] * 14 + [1.0], blocks + [flag])
+    data = state.state.data
+    w = np.linalg.eigvalsh(data)
+    assert data[63, 63].real < 0.0
+    assert -3.1e-15 < w[0] < -2.9e-15
+    assert w[0] > -64 * np.finfo(float).eps * np.abs(w).max()
+    r = check_sep_family_obstruction(state)
+    oracle = sep_family_obstruction(data, state.dims, (0,), (1,), (2,))
+    assert (r.holds, r.witness) == oracle == (False, None)
+    assert classify(state).verdict == INCONCLUSIVE
+    path = tmp_path / "tiny-flag.json"
+    save_state(state, path)
+    assert main(["classify", str(path)]) == 0
 
 
 def test_no_verdict_pair_is_ever_inconsistent():

@@ -1,6 +1,7 @@
 """Hypothesis properties of the partial transpose, measures, witnesses, classifier
 (on general states and on states classical on A), the trace-distance dual bound,
-the overlap bracket and the overlap's product certificate.
+the overlap bracket, the overlap's product certificate, and the exact Hermitian
+symmetry of every matrix the classifier and the measures hand to an eigen-solver.
 
 Hypothesis draws the layouts, ranks and seeds; numpy draws the states.
 """
@@ -391,3 +392,72 @@ def test_singular_states_classical_on_a_keep_the_block_path():
                     state = _laid_out(mat, a_dims + (db, dc), len(a_dims), position)
                     assert not _off_a_blocks(state).any(), (a_dims, db, dc, position)
                     _check_against_oracle(state, _oracle_values(state), m)
+
+
+@contextmanager
+def _eigen_solver_inputs():
+    """Every matrix passed to ``np.linalg.eigvalsh`` or ``np.linalg.eigh`` inside the block."""
+    inputs = []
+
+    def recording(fn):
+        def wrapped(a, *args, **kwargs):
+            inputs.append(np.asarray(a))
+            return fn(a, *args, **kwargs)
+
+        return wrapped
+
+    with mock.patch.object(np.linalg, "eigvalsh", recording(np.linalg.eigvalsh)), \
+            mock.patch.object(np.linalg, "eigh", recording(np.linalg.eigh)):
+        yield inputs
+
+
+def _bit_hermitian(m):
+    return np.array_equal(m, m.conj().swapaxes(-1, -2))
+
+
+def _wishart(rng, dims, rank, real):
+    D = int(np.prod(dims))
+    a = rng.standard_normal((D, rank)) + (0 if real else 1j) * rng.standard_normal((D, rank))
+    return DensityMatrix(dims, a @ a.conj().T / np.sum(np.abs(a) ** 2))
+
+
+# The eigen-solves below take partial traces, partial transposes, A-blocks and
+# differences of validated states as they come: the constructor stores a
+# bit-Hermitian matrix, and each of those operations keeps it bit-Hermitian.
+@settings(max_examples=60, deadline=None)
+@given(
+    layout=_layouts(), flags=_classical_on_a(), classical=st.booleans(),
+    real=st.booleans(), seed=_seeds,
+)
+def test_classify_solves_only_bit_hermitian_matrices(layout, flags, classical, real, seed):
+    rng = np.random.default_rng(seed)
+    if classical:
+        a_dims, db, dc, position, singular, _ = flags
+        mat = _flags(rng, int(np.prod(a_dims)), db * dc, singular)
+        state = _laid_out(mat.real if real else mat, a_dims + (db, dc), len(a_dims), position)
+    else:
+        dims, parties, rank = layout
+        state = TripartiteState(_wishart(rng, dims, rank, real), *parties)
+    with _eigen_solver_inputs() as inputs:
+        classify(state)
+    assert len(inputs) == 6
+    assert all(_bit_hermitian(m) for m in inputs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims=_dims, rank=st.integers(1, 4), real=st.booleans(), data=st.data(), seed=_seeds)
+def test_measures_solve_only_bit_hermitian_matrices(dims, rank, real, data, seed):
+    rng = np.random.default_rng(seed)
+    cut = _cut(data, len(dims))
+    rho = _wishart(rng, dims, rank, real)
+    sigma = _wishart(rng, dims, int(np.prod(dims)), real)
+    with _eigen_solver_inputs() as inputs:
+        log_negativity(rho, cut)
+        hashing_witness(rho, cut)
+        mutual_information(rho, cut)
+        trace_distance(rho, sigma)
+        fidelity(rho, sigma)
+    # one spectrum each for log_negativity and trace_distance, three each for
+    # hashing_witness and mutual_information, and two eigh for fidelity
+    assert len(inputs) == 10
+    assert all(_bit_hermitian(m) for m in inputs)

@@ -51,8 +51,10 @@ def _werner(d, p):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        PptOptConfig(max_iters=0)
+    for max_iters in (0, -3, 2.5, float("nan"), float("inf"), True, "7", np.int64(0)):
+        with pytest.raises(ValueError, match="max_iters must be an integer of at least 1"):
+            PptOptConfig(max_iters=max_iters)
+    assert PptOptConfig(max_iters=np.int64(50)).max_iters == 50
     for tol in (0.0, -1e-7, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="tol must be finite and positive"):
             PptOptConfig(tol=tol)
@@ -95,22 +97,37 @@ def _interior_margins(res, cut):
 
 @pytest.mark.parametrize("real", [False, True])
 def test_schur_matrix_matches_its_definition(monkeypatch, real):
-    # Re Tr(B_i X B_j Y) over the basis, and over its partial transposes, in
-    # one row chunk at D = 6 and in 5 and 15 chunks (of 3 and 1 entry pairs)
+    # every group pair of the trace-distance layout (4 blocks, 2 groups, block
+    # 3 transposed) sums Re Tr(B_i X_k B_j Y_k) over the blocks k in both of
+    # its groups, with B_i^Gamma for block 3; in one row chunk at D = 6 and
+    # in 5 and 15 chunks (of 3 and 1 entry pairs)
     rng = np.random.default_rng(233)
     dims = (2, 3)
-    g = rng.standard_normal((2, 6, 6)) + (0 if real else 1j) * rng.standard_normal((2, 6, 6))
-    X, Y = g @ g.conj().transpose(0, 2, 1)
+    transposed = (0, 0, 0, 1)
+    g = rng.standard_normal((8, 6, 6)) + (0 if real else 1j) * rng.standard_normal((8, 6, 6))
+    X, Y = np.split(g @ g.conj().transpose(0, 2, 1), 2)
+    # blocks [[1, 1], [0, 1], [1, 0], [1, 0]]: the blocks in both groups of each pair
+    pairs = [(0, 0, [0, 2, 3]), (0, 1, [0]), (1, 1, [0, 1])]
     for chunk, count in ((pptopt._SCHUR_CHUNK, 1), (2**7, 5), (1, 15)):
         monkeypatch.setattr(pptopt, "_SCHUR_CHUNK", chunk)
         coords = _Coords(dims, (0,), real)
         assert len(coords.chunks) == count
-        basis = coords.mat(np.eye(coords.n))
-        for transposed, B in ((0, basis), (1, _pt_array(basis, dims, (0,)))):
-            expected = np.einsum("iab,bc,jcd,da->ij", B, X, B, Y).real
-            got = np.empty_like(expected)
-            coords.schur([(X, Y, transposed)], got)
-            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+        n = coords.n
+        basis = coords.mat(np.eye(n))
+        bases = (basis, _pt_array(basis, dims, (0,)))
+        got = np.full((2 * n, 2 * n), np.nan)
+        sums = np.empty((len(pairs), coords.slab), coords.dtype)
+        coords.schur([(X[k], Y[k], transposed[k]) for k in range(4)], pairs, sums, got)
+        for a, b, on in pairs:
+            expected = sum(
+                np.einsum("iab,bc,jcd,da->ij", bases[transposed[k]], X[k],
+                          bases[transposed[k]], Y[k]).real
+                for k in on
+            )
+            rows, cols = slice(a * n, (a + 1) * n), slice(b * n, (b + 1) * n)
+            np.testing.assert_allclose(got[rows, cols], expected, rtol=0, atol=1e-12)
+            if a != b:  # the mirrored block is the transpose, bit for bit
+                np.testing.assert_array_equal(got[cols, rows], got[rows, cols].T)
 
 
 def test_certificates_are_unit_trace_states_feasible_to_rounding():
@@ -308,7 +325,7 @@ def test_trace_distance_dual_certifies_symmetric_states_early(rho, exact):
     # bound meet it from either side
     res = min_trace_distance_ppt(rho, cut=CUT01)
     assert res.converged and 0.0 <= res.gap <= PptOptConfig().tol
-    assert res.iterations <= 7
+    assert res.iterations <= 6
     assert abs(res.value - exact) < 1e-6
 
 

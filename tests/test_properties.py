@@ -145,7 +145,7 @@ def test_partial_transpose_is_an_involution(dims, rank, data, seed):
     dims=st.sampled_from([(2, 2), (2, 3), (3, 3)]),
     rank=st.integers(2, 9),
     weight=st.floats(0.0, 1.0),
-    budget=st.sampled_from([300, 2000]),
+    budget=st.sampled_from([1, 2, 3, 300, 2000]),
     seed=_seeds,
 )
 def test_trace_distance_dual_bound_is_below_every_separable_distance(

@@ -46,7 +46,7 @@ from .measures import (
     von_neumann_entropy,
 )
 from .pptopt import PptOptConfig, _as_pure, geometric_distillability_ppt, max_overlap_ppt
-from .stateio import dumps_state, load_state
+from .stateio import dumps_state, load_state, loads_state
 
 
 def _fmt(value: float) -> str:
@@ -166,13 +166,12 @@ def _holds_str(holds: bool | None) -> str:
     return "true" if holds else "false"
 
 
-def _report_payload(path: str, report, args) -> dict:
-    digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+def _report_payload(path: str, raw: bytes, report, args) -> dict:
     return {
         "format_version": 1,
         "tool_version": __version__,
         "input": Path(path).name,
-        "input_sha256": digest,
+        "input_sha256": hashlib.sha256(raw).hexdigest(),
         "seed": args.seed,
         "config": {"tol": args.tol},
         "verdict": report.verdict,
@@ -197,7 +196,8 @@ def _cmd_classify(args) -> int:
         raise ValueError("--json requires exactly one input file")
     reports = []
     for path in args.states:
-        state = load_state(path)
+        raw = Path(path).read_bytes()  # hashed for --json: the bytes classified
+        state = loads_state(raw.decode("utf-8"))
         if not isinstance(state, TripartiteState):
             raise ValueError(f"{path}: classification needs a state file with party labels")
         reports.append(classify(state, args.tol))
@@ -207,7 +207,7 @@ def _cmd_classify(args) -> int:
         for path, report in zip(args.states, reports):
             print(f"{path}\t{report.verdict}")
     if args.json is not None:
-        payload = _report_payload(args.states[0], reports[0], args)
+        payload = _report_payload(args.states[0], raw, reports[0], args)
         Path(args.json).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     return 0
 

@@ -32,7 +32,6 @@ _HERMITICITY_ATOL = 1e-10
 _TRACE_ATOL = 1e-10
 _EIG_FLOOR = -1e-9
 _PURE_NORM_ATOL = 1e-12
-_OP_HERMITICITY_ATOL = 1e-8
 
 
 class SizeLimitError(ValueError):
@@ -219,6 +218,18 @@ class PureState:
         return DensityMatrix(self.dims, np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
+def _partition(blocks, n: int) -> tuple[tuple[int, ...], ...]:
+    """The blocks, each sorted; raises ``ValueError`` unless every block is
+    non-empty and together they cover ``0..n-1`` once each."""
+    out = tuple(tuple(sorted(int(i) for i in block)) for block in blocks)
+    if not all(out) or sorted(sum(out, ())) != list(range(n)):
+        raise ValueError(
+            f"blocks must be non-empty and cover 0..{n - 1} once each, "
+            f"got {' | '.join(map(str, out))}"
+        )
+    return out
+
+
 @dataclass(frozen=True)
 class Bipartition:
     """Two-block partition of subsystem indices ``0..n-1``.
@@ -231,15 +242,7 @@ class Bipartition:
     right: tuple[int, ...]
 
     def __post_init__(self):
-        left = tuple(sorted(int(i) for i in self.left))
-        right = tuple(sorted(int(i) for i in self.right))
-        if not left or not right:
-            raise ValueError("both sides of a bipartition must be non-empty")
-        merged = sorted(left + right)
-        if merged != list(range(len(merged))):
-            raise ValueError(
-                f"bipartition blocks must disjointly cover 0..n-1, got {left} | {right}"
-            )
+        left, right = _partition((self.left, self.right), len(self.left) + len(self.right))
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
 
@@ -277,18 +280,9 @@ class TripartiteState:
     c_indices: tuple[int, ...]
 
     def __post_init__(self):
-        a = tuple(sorted(int(i) for i in self.a_indices))
-        b = tuple(sorted(int(i) for i in self.b_indices))
-        c = tuple(sorted(int(i) for i in self.c_indices))
-        if not (a and b and c):
-            raise ValueError("each of A, B, C must hold at least one subsystem")
-        merged = sorted(a + b + c)
-        n = len(self.state.dims)
-        if merged != list(range(n)):
-            raise ValueError(
-                f"A/B/C blocks must disjointly cover all {n} subsystems, "
-                f"got {a} | {b} | {c}"
-            )
+        a, b, c = _partition(
+            (self.a_indices, self.b_indices, self.c_indices), len(self.state.dims)
+        )
         object.__setattr__(self, "a_indices", a)
         object.__setattr__(self, "b_indices", b)
         object.__setattr__(self, "c_indices", c)
@@ -323,6 +317,8 @@ def tensor(a, b):
     """
     if type(a) is not type(b):
         raise ValueError("tensor requires two operands of the same type")
+    if not isinstance(a, (PureState, DensityMatrix)):
+        raise ValueError(f"unsupported operand type {type(a).__name__}")
     D = a.dim * b.dim
     if D > DIMENSION_CAP:
         raise SizeLimitError(
@@ -331,9 +327,7 @@ def tensor(a, b):
     dims = a.dims + b.dims
     if isinstance(a, PureState):
         return PureState(dims, np.kron(a.amplitudes, b.amplitudes))
-    if isinstance(a, DensityMatrix):
-        return DensityMatrix(dims, np.kron(a.data, b.data))
-    raise ValueError(f"unsupported operand type {type(a).__name__}")
+    return DensityMatrix(dims, np.kron(a.data, b.data))
 
 
 def _ptrace_array(

@@ -48,8 +48,9 @@ __all__ = [
 ]
 
 # Most rows m of the kernel's Schur system, 2 D^2 - 1 for the trace-distance
-# program.  An iteration costs O(m^3) time and O(m^2) memory; near this cap
-# (D = 28) one solve took 3.2 s and 0.4 GB on two cores.
+# program.  An iteration costs O(m^3) time and O(m^2) memory; at D = 28 one
+# rank-2 solve took 2.4-2.7 s and a 93 MB peak RSS (complex) or 0.7-0.8 s and
+# 57 MB (real) on two cores, 29 MB of it the interpreter and its imports.
 OPT_SCHUR_CAP = 1600
 
 # Shares of the step to the nearest cone boundary (see _interior_point):
@@ -206,10 +207,11 @@ class _Coords:
         (b, a) leaves the real part over a Hermitian basis unchanged; so a
         term is a Kronecker product read at the entries in the order
         diagonal, above, below, and the change to coordinates is sums and
-        differences of slices.  Each term is gathered once and added in
-        place to every pair that lists it (4 gathers for the trace-distance
-        program, where one pass per pair took 6), and the change to
-        coordinates runs once over the stack of pair sums.  Rows go in
+        differences of slices.  Each term is gathered once into a work slab
+        and added in place to every pair that lists it, whose sum starts at
+        zero in each chunk (4 gathers for the trace-distance program, where
+        one pass per pair took 6), and the change to coordinates runs once
+        over the stack of pair sums.  Rows go in
         chunks of about ``_SCHUR_CHUNK`` entries, one chunk for every
         D <= 16, through the work arrays made in ``__init__`` and ``sums``,
         made once per solve: a whole D^2 x D^2 product near
@@ -221,27 +223,20 @@ class _Coords:
         def block(g, g2):
             return out[g * n : (g + 1) * n, g2 * n : (g2 + 1) * n]
 
-        # for each term, the pairs whose sum it starts and those it adds to
-        plan, started = [], set()
-        for k in range(len(terms)):
-            mine = [p for p, (_, _, on) in enumerate(pairs) if k in on]
-            plan.append(([p for p in mine if p not in started], [p for p in mine if p in started]))
-            started.update(mine)
         for t0, t1, lead, rows in self.chunks:
             size = rows.size * D * D
             term = self.work[0, :size].reshape(rows.size, -1)
             Yc = self.work[1, :size].reshape(-1, rows.size)
             K = sums[:, :size].reshape(len(pairs), rows.size, -1)
-            for (X, Y, transposed), (new, old) in zip(terms, plan):
-                out_k = K[new[0]] if new else term
+            K[:] = 0.0
+            for k, (X, Y, transposed) in enumerate(terms):
                 (r, c) = self.entries[transposed]
-                np.take(X[r[rows]], r, axis=1, out=out_k, mode="clip")
+                np.take(X[r[rows]], r, axis=1, out=term, mode="clip")
                 np.take(Y[c], c[rows], axis=1, out=Yc, mode="clip")
-                np.multiply(out_k, Yc.T, out=out_k)
-                for p in new[1:]:
-                    K[p] = out_k
-                for p in old:
-                    K[p] += out_k
+                np.multiply(term, Yc.T, out=term)
+                for p, (_, _, on) in enumerate(pairs):
+                    if k in on:
+                        K[p] += term
             above, below = K[:, :, D : D + h], K[:, :, D + h :]
             above += below
             if imag:
@@ -278,7 +273,7 @@ def _interior_point(
     value: Callable[[np.ndarray], float],
     bound: Callable[[np.ndarray], float],
     config: PptOptConfig,
-) -> tuple[np.ndarray, float, float, int]:
+) -> tuple[np.ndarray, float, int]:
     """Maximise ``b.z`` subject to ``S_k = C_k + L_k(z) >= 0`` for every block k.
 
     The variables are groups of ``coords.n`` coordinates (:class:`_Coords`)
@@ -317,7 +312,7 @@ def _interior_point(
     feasible up to rounding and nearly optimal, where an iterate lags the
     optimum by about its own gap.  The loop stops once the best value
     and the best bound are within ``config.tol``.  Returns the best dual
-    point's blocks, its value, the best bound and the iterations taken.
+    point's blocks, the best bound and the iterations taken.
     """
     D, n_c = coords.D, coords.n
     nb, groups = blocks.shape
@@ -398,7 +393,7 @@ def _interior_point(
         S = C + lin(z)
         # inverse Cholesky factors, S^-1 = Rs^dag Rs; they also prove S, X > 0
         Rs, Rx = np.split(np.linalg.inv(np.linalg.cholesky(np.concatenate([S, X]))), 2)
-    return best_S, best_value, best_bound, it
+    return best_S, best_bound, it
 
 
 def _result(
@@ -497,8 +492,7 @@ def max_overlap_ppt(psi: PureState, cut: Bipartition) -> PptOptResult:
     _check_cut(cut, len(dims))
     order = cut.left + cut.right
     shape = [dims[i] for i in order]
-    amps = psi.amplitudes if psi.amplitudes.imag.any() else psi.amplitudes.real
-    M = amps.reshape(dims).transpose(order).reshape(math.prod(shape[: len(cut.left)]), -1)
+    M = psi.amplitudes.reshape(dims).transpose(order).reshape(math.prod(shape[: len(cut.left)]), -1)
     U, s, Vh = np.linalg.svd(M, full_matrices=False)
     top = np.outer(U[:, 0], Vh[0]).reshape(shape).transpose(np.argsort(order)).reshape(-1)
     top /= math.sqrt(np.vdot(top, top).real)  # |u|^2 |v|^2 can miss 1 by a few ulps
@@ -544,8 +538,8 @@ def min_trace_distance_ppt(
     data = rho.data.real if real else rho.data
     eye = np.eye(D, dtype=coords.dtype)
 
-    def tdist(sigma):
-        return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(_herm(rho.data - sigma)))))
+    def tdist(sigma):  # rho and sigma are Hermitian bit for bit, so is their difference
+        return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(rho.data - sigma))))
 
     def bound(X):
         w, V = np.linalg.eigh(X[0])
@@ -558,7 +552,7 @@ def min_trace_distance_ppt(
     b = np.concatenate([np.zeros(coords.n - 1), -ones])
     z = np.concatenate([np.zeros(coords.n - 1), ones])  # sigma = I/D, P = I
     blocks = np.array([[1, 1], [0, 1], [1, 0], [1, 0]], bool)
-    S, value, upper, iterations = _interior_point(
+    S, upper, iterations = _interior_point(
         coords, blocks, np.array([False, False, False, True]), C, b, z,
         lambda S: -tdist(S[2]), bound, config,
     )
@@ -566,7 +560,7 @@ def min_trace_distance_ppt(
         dims,
         S[2],
         lambda a: np.linalg.eigvalsh(np.stack([a, _pt_array(a, dims, cut.left)])),
-        lambda sigma: (tdist(sigma), upper - value),
+        lambda sigma: (t := tdist(sigma), t + upper),
         iterations,
         config.tol,
     )

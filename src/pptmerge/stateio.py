@@ -37,23 +37,20 @@ def _pairs(values: np.ndarray) -> list[list[float]]:
 
 def dumps_state(state: StateLike) -> str:
     """Canonical JSON text for a state, trailing newline included."""
-    payload: dict = {"format_version": FORMAT_VERSION}
+    if not isinstance(state, (DensityMatrix, PureState, TripartiteState)):
+        raise ValueError(f"cannot serialise object of type {type(state).__name__}")
+    payload: dict = {"format_version": FORMAT_VERSION, "dims": list(state.dims)}
     if isinstance(state, TripartiteState):
-        payload["dims"] = list(state.dims)
         payload["labels"] = {
             "a": list(state.a_indices),
             "b": list(state.b_indices),
             "c": list(state.c_indices),
         }
-        payload["matrix"] = _pairs(state.state.data.reshape(-1))
-    elif isinstance(state, PureState):
-        payload["dims"] = list(state.dims)
+        state = state.state
+    if isinstance(state, PureState):
         payload["amplitudes"] = _pairs(state.amplitudes)
-    elif isinstance(state, DensityMatrix):
-        payload["dims"] = list(state.dims)
-        payload["matrix"] = _pairs(state.data.reshape(-1))
     else:
-        raise ValueError(f"cannot serialise object of type {type(state).__name__}")
+        payload["matrix"] = _pairs(state.data.reshape(-1))
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -116,9 +113,7 @@ def loads_state(text: str) -> StateLike:
         "dims must be a non-empty list of integers >= 2",
     )
     dims = tuple(dims_raw)
-    D = 1
-    for d in dims:
-        D *= d
+    D = math.prod(dims)
     has_matrix = "matrix" in payload
     has_amplitudes = "amplitudes" in payload
     _require(

@@ -1,5 +1,6 @@
 """Command-line interface, driven in process through main(argv)."""
 
+import hashlib
 import importlib
 import json
 import os
@@ -246,6 +247,26 @@ def test_classify_json_report(tmp_path, capsys):
     a.pop("timestamp")
     b.pop("timestamp")
     assert a == b
+
+
+def test_classify_json_hashes_the_bytes_it_classified(tmp_path, monkeypatch, capsys):
+    robust = _generate(tmp_path, "robust-vanishing")
+    original = robust.read_bytes()
+    capsys.readouterr()
+    classify = cli_mod.classify
+
+    def rewrite_then_classify(state, tol):
+        # the file changes after it was read and before the report is written
+        robust.write_text(cli_mod.dumps_state(pptmerge.ghz()), encoding="utf-8")
+        return classify(state, tol)
+
+    monkeypatch.setattr(cli_mod, "classify", rewrite_then_classify)
+    report_path = tmp_path / "report.json"
+    assert main(["classify", str(robust), "--json", str(report_path)]) == 0
+    assert capsys.readouterr().out == "VANISHING\n"
+    assert robust.read_bytes() != original
+    payload = json.loads(report_path.read_text())
+    assert payload["input_sha256"] == hashlib.sha256(original).hexdigest()
 
 
 def test_classify_json_single_input_only(tmp_path, capsys):

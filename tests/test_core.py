@@ -13,6 +13,7 @@ from pptmerge import (
     PureState,
     SizeLimitError,
     TripartiteState,
+    ghz,
     partial_trace,
     partial_transpose,
     tensor,
@@ -260,6 +261,10 @@ def test_tensor_type_and_size_guards(monkeypatch):
     psi = random_pure(rng, (2, 2))
     with pytest.raises(ValueError):
         tensor(rho, psi)
+    # operands of one type that is not a state reach the type check, not .dim
+    for a, b in ((1, 2), (ghz(), ghz())):
+        with pytest.raises(ValueError, match="unsupported operand type"):
+            tensor(a, b)
 
     def basis_state(d):
         return PureState((d,), np.eye(1, d)[0])

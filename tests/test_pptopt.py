@@ -339,6 +339,28 @@ def test_trace_distance_exits_without_a_certified_gap_are_not_converged():
     assert res.value == trace_distance(rho, res.certificate)
 
 
+def test_trace_distance_gap_is_read_off_the_certificate(monkeypatch):
+    # a certificate moved after the kernel (as a clamp would move it) keeps
+    # value - gap at the kernel's certified lower bound -upper
+    bounds = []
+    kernel, density = pptopt._interior_point, pptopt._density_with_spectrum
+
+    def recording_kernel(*args):
+        out = kernel(*args)
+        bounds.append(out[-2])
+        return out
+
+    def mixed(dims, data, spectrum):
+        D = data.shape[0]
+        return density(dims, (1.0 - 1e-6) * data + 1e-6 * np.eye(D) / D, spectrum)
+
+    monkeypatch.setattr(pptopt, "_interior_point", recording_kernel)
+    monkeypatch.setattr(pptopt, "_density_with_spectrum", mixed)
+    for rho in (phi_plus().to_density(), _isotropic(3, 0.8)):
+        res = min_trace_distance_ppt(rho, CUT01)
+        assert abs((res.value - res.gap) - (-bounds[-1])) <= 1e-15
+
+
 def test_min_trace_distance_dimension_cap():
     big = DensityMatrix((2,) * 7, np.eye(128) / 128)
     with pytest.raises(SizeLimitError):

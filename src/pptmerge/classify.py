@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bloch import _family_rank
-from .core import TripartiteState, _check_tol, _pt_array, _ptrace_array
+from .core import TripartiteState, _DEFAULT_TOL, _check_tol, _pt_array, _ptrace_array
 from .families import SEP_FAMILY_BLOCKS
 from .measures import _entropy, conditional_entropy
 
@@ -46,8 +46,6 @@ VANISHING = "VANISHING"
 NO_PERFECT_MERGE = "NO_PERFECT_MERGE"
 INCONCLUSIVE = "INCONCLUSIVE"
 VERDICTS = (PERFECT, VANISHING, NO_PERFECT_MERGE, INCONCLUSIVE)
-
-DEFAULT_TOL = 1e-9
 
 _OBSTRUCTION_WEIGHT_FLOOR = 1e-6
 
@@ -201,7 +199,7 @@ _SPECTRAL_CRITERIA = {
 }
 
 
-def check_sep_family_obstruction(state: TripartiteState, tol: float = DEFAULT_TOL) -> CriterionResult:
+def check_sep_family_obstruction(state: TripartiteState, tol: float = _DEFAULT_TOL) -> CriterionResult:
     """Detect the classically flagged separable structure that blocks merging.
 
     Looks for rho = sum_i p_i |i><i|_A (x) sigma_i_BC with B and C single
@@ -253,7 +251,7 @@ def check_sep_family_obstruction(state: TripartiteState, tol: float = DEFAULT_TO
     )
 
 
-def merging_cost_pure(state: TripartiteState, atol: float = DEFAULT_TOL) -> float:
+def merging_cost_pure(state: TripartiteState, atol: float = _DEFAULT_TOL) -> float:
     """Entanglement rate consumed (positive) or released (negative) by merging.
 
     Only meaningful for pure global states, where the rate is exactly
@@ -266,7 +264,7 @@ def merging_cost_pure(state: TripartiteState, atol: float = DEFAULT_TOL) -> floa
     return conditional_entropy(state)
 
 
-def classify(state: TripartiteState, tol: float = DEFAULT_TOL) -> ClassificationReport:
+def classify(state: TripartiteState, tol: float = _DEFAULT_TOL) -> ClassificationReport:
     """Run every criterion and combine them into a single verdict.
 
     Raises :class:`InconsistentCriteriaError` when the perfect and

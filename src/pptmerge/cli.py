@@ -25,6 +25,7 @@ from .core import (
     PureState,
     SizeLimitError,
     TripartiteState,
+    _DEFAULT_TOL,
 )
 from .families import (
     GenerationError,
@@ -53,37 +54,33 @@ def _fmt(value: float) -> str:
     return f"{value:.12f}"
 
 
+def _labelled(state, message: str) -> TripartiteState:
+    if not isinstance(state, TripartiteState):
+        raise ValueError(message)
+    return state
+
+
+def _target(state) -> PureState | DensityMatrix:
+    return state.state if isinstance(state, TripartiteState) else state
+
+
 def _parse_cut(spec: str, state) -> Bipartition:
     """Parse 'A:BC' (party labels) or '0,1:2' (subsystem indices)."""
     parts = spec.split(":")
     if len(parts) != 2 or not parts[0] or not parts[1]:
         raise ValueError(f"invalid cut {spec!r}: expected LEFT:RIGHT")
-    left_raw, right_raw = parts
-    if all(ch in "ABCabc" for ch in left_raw + right_raw):
-        if not isinstance(state, TripartiteState):
-            raise ValueError(
-                f"cut {spec!r} uses party labels but the state file has no labels"
-            )
-        seen = (left_raw + right_raw).upper()
-        if sorted(seen) != ["A", "B", "C"]:
+    if set(spec) <= set("ABCabc:"):
+        state = _labelled(
+            state, f"cut {spec!r} uses party labels but the state file has no labels"
+        )
+        if sorted(spec.upper().replace(":", "")) != ["A", "B", "C"]:
             raise ValueError(
                 f"invalid cut {spec!r}: the two sides must use each of A, B, C once"
             )
-        groups = {
-            "A": state.a_indices,
-            "B": state.b_indices,
-            "C": state.c_indices,
-        }
-        left: tuple[int, ...] = ()
-        for ch in left_raw.upper():
-            left += groups[ch]
-        right: tuple[int, ...] = ()
-        for ch in right_raw.upper():
-            right += groups[ch]
-        return Bipartition(left, right)
+        groups = {"A": state.a_indices, "B": state.b_indices, "C": state.c_indices}
+        return Bipartition(*(sum((groups[ch] for ch in side.upper()), ()) for side in parts))
     try:
-        left = tuple(int(tok) for tok in left_raw.split(","))
-        right = tuple(int(tok) for tok in right_raw.split(","))
+        left, right = (tuple(int(tok) for tok in side.split(",")) for side in parts)
     except ValueError as exc:
         raise ValueError(
             f"invalid cut {spec!r}: sides must be party labels or comma-separated indices"
@@ -92,17 +89,8 @@ def _parse_cut(spec: str, state) -> Bipartition:
 
 
 def _density_of(state) -> DensityMatrix:
-    if isinstance(state, TripartiteState):
-        return state.state
-    if isinstance(state, PureState):
-        return state.to_density()
-    return state
-
-
-def _conditional_entropy(state) -> float:
-    if not isinstance(state, TripartiteState):
-        raise ValueError("conditional-entropy needs a state file with party labels")
-    return conditional_entropy(state)
+    target = _target(state)
+    return target.to_density() if isinstance(target, PureState) else target
 
 
 # The tables behind `generate` and `measure`; their keys are the argparse
@@ -125,7 +113,8 @@ _FAMILIES = {
 # measure -> (needs --cut, evaluator(state, rho, cut, tol) -> stdout line)
 _MEASURES = {
     "entropy": (False, lambda s, rho, cut, tol: _fmt(von_neumann_entropy(rho))),
-    "conditional-entropy": (False, lambda s, rho, cut, tol: _fmt(_conditional_entropy(s))),
+    "conditional-entropy": (False, lambda s, rho, cut, tol: _fmt(conditional_entropy(
+        _labelled(s, "conditional-entropy needs a state file with party labels")))),
     "mutual-information": (True, lambda s, rho, cut, tol: _fmt(mutual_information(rho, cut))),
     "log-negativity": (True, lambda s, rho, cut, tol: _fmt(log_negativity(rho, cut))),
     "hashing-witness": (True, lambda s, rho, cut, tol: _fmt(hashing_witness(rho, cut).value)),
@@ -151,19 +140,15 @@ def _cmd_generate(args) -> int:
 def _cmd_measure(args) -> int:
     state = load_state(args.state)
     needs_cut, evaluate = _MEASURES[args.measure]
-    cut = None
-    if needs_cut:
-        if args.cut is None:
-            raise ValueError(f"measure {args.measure!r} requires --cut")
-        cut = _parse_cut(args.cut, state)
+    if needs_cut != (args.cut is not None):
+        rule = "requires" if needs_cut else "takes no"
+        raise ValueError(f"measure {args.measure!r} {rule} --cut")
+    cut = None if args.cut is None else _parse_cut(args.cut, state)
     print(evaluate(state, _density_of(state), cut, args.tol))
     return 0
 
 
-def _holds_str(holds: bool | None) -> str:
-    if holds is None:
-        return "unknown"
-    return "true" if holds else "false"
+_HOLDS = {None: "unknown", True: "true", False: "false"}
 
 
 def _report_payload(path: str, raw: bytes, report, args) -> dict:
@@ -178,7 +163,7 @@ def _report_payload(path: str, raw: bytes, report, args) -> dict:
         "criteria": [
             {
                 "name": c.name,
-                "holds": _holds_str(c.holds),
+                "holds": _HOLDS[c.holds],
                 "witness": c.witness,
                 "condition": c.condition,
             }
@@ -198,9 +183,8 @@ def _cmd_classify(args) -> int:
     for path in args.states:
         raw = Path(path).read_bytes()  # hashed for --json: the bytes classified
         state = loads_state(raw.decode("utf-8"))
-        if not isinstance(state, TripartiteState):
-            raise ValueError(f"{path}: classification needs a state file with party labels")
-        reports.append(classify(state, args.tol))
+        message = f"{path}: classification needs a state file with party labels"
+        reports.append(classify(_labelled(state, message), args.tol))
     if len(args.states) == 1:
         print(reports[0].verdict)
     else:
@@ -212,16 +196,13 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _opt_target(state) -> PureState | DensityMatrix:
-    return state.state if isinstance(state, TripartiteState) else state
-
-
-def _opt_cut(args, state) -> Bipartition:
-    if args.cut is not None:
-        return _parse_cut(args.cut, state)
-    if isinstance(state, TripartiteState):
-        return state.cut_ab_c()
-    raise ValueError("--cut is required for state files without party labels")
+def _opt_input(args) -> tuple[PureState | DensityMatrix, Bipartition]:
+    state = load_state(args.state)
+    if args.cut is None:
+        cut = _labelled(state, "--cut is required for state files without party labels").cut_ab_c()
+    else:
+        cut = _parse_cut(args.cut, state)
+    return _target(state), cut
 
 
 def _print_diagnostics(result) -> None:
@@ -234,10 +215,9 @@ def _print_diagnostics(result) -> None:
 
 
 def _cmd_geodist(args) -> int:
-    state = load_state(args.state)
-    cut = _opt_cut(args, state)
+    target, cut = _opt_input(args)
     config = PptOptConfig(max_iters=args.max_iters, tol=args.tol)
-    result = geometric_distillability_ppt(_opt_target(state), cut, config)
+    result = geometric_distillability_ppt(target, cut, config)
     if result.low == result.high:
         print(_fmt(result.low))
     else:
@@ -247,9 +227,7 @@ def _cmd_geodist(args) -> int:
 
 
 def _cmd_overlap(args) -> int:
-    state = load_state(args.state)
-    cut = _opt_cut(args, state)
-    target = _opt_target(state)
+    target, cut = _opt_input(args)
     psi = _as_pure(target)
     if psi is None:
         raise ValueError(f"expected a pure state, got purity {target.purity():.6f}")
@@ -284,12 +262,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("state")
     p.add_argument("measure", choices=tuple(_MEASURES))
     p.add_argument("--cut", help="bipartition, e.g. AB:C or 0,1:2")
-    p.add_argument("--tol", type=float, default=1e-9, help="PPT tolerance")
+    p.add_argument("--tol", type=float, default=_DEFAULT_TOL, help="PPT tolerance")
     p.set_defaults(func=_cmd_measure)
 
     p = sub.add_parser("classify", help="run every criterion and print the verdict")
     p.add_argument("states", nargs="+")
-    p.add_argument("--tol", type=float, default=1e-9, help="witness and PPT tolerance")
+    p.add_argument("--tol", type=float, default=_DEFAULT_TOL, help="witness and PPT tolerance")
     p.add_argument("--json", help="also write a full report to this path")
     p.add_argument("--seed", type=int, default=None, help="echoed into the report")
     p.set_defaults(func=_cmd_classify)

@@ -8,6 +8,7 @@ and the flat index of ``(i_0, ..., i_{n-1})`` is the row-major one.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -106,8 +107,18 @@ def _checked(
     return arr, w
 
 
+def _ints(values) -> tuple[int, ...]:
+    """The values as Python ints; raises ``ValueError`` on a value that is not
+    an integer, such as a float or a string.  numpy integers are accepted."""
+    values = tuple(values)
+    try:
+        return tuple(operator.index(v) for v in values)
+    except TypeError as exc:
+        raise ValueError(f"expected integers, got {values!r}") from exc
+
+
 def _check_dims(dims) -> tuple[int, ...]:
-    out = tuple(int(d) for d in dims)
+    out = _ints(dims)
     if not out:
         raise ValueError("dims must be non-empty")
     if any(d < 2 for d in out):
@@ -221,7 +232,7 @@ class PureState:
 def _partition(blocks, n: int) -> tuple[tuple[int, ...], ...]:
     """The blocks, each sorted; raises ``ValueError`` unless every block is
     non-empty and together they cover ``0..n-1`` once each."""
-    out = tuple(tuple(sorted(int(i) for i in block)) for block in blocks)
+    out = tuple(tuple(sorted(_ints(block))) for block in blocks)
     if not all(out) or sorted(sum(out, ())) != list(range(n)):
         raise ValueError(
             f"blocks must be non-empty and cover 0..{n - 1} once each, "
@@ -249,7 +260,7 @@ class Bipartition:
     @classmethod
     def of(cls, left: Iterable[int], n_subsystems: int) -> "Bipartition":
         """Build a bipartition from the left block and the subsystem count."""
-        left = tuple(sorted(int(i) for i in left))
+        left = tuple(sorted(_ints(left)))
         right = tuple(i for i in range(n_subsystems) if i not in left)
         return cls(left, right)
 
@@ -262,6 +273,10 @@ def _check_cut(cut: Bipartition, n: int) -> None:
     """Reject a cut that does not cover exactly the state's ``n`` subsystems."""
     if cut.n_subsystems != n:
         raise ValueError(f"cut covers {cut.n_subsystems} subsystems but the state has {n}")
+
+
+# Default tolerance of the PPT test and of the classifier's criteria.
+_DEFAULT_TOL = 1e-9
 
 
 def _check_tol(tol: float) -> None:
@@ -280,6 +295,8 @@ class TripartiteState:
     c_indices: tuple[int, ...]
 
     def __post_init__(self):
+        if not isinstance(self.state, DensityMatrix):
+            raise ValueError(f"state must be a DensityMatrix, got {type(self.state).__name__}")
         a, b, c = _partition(
             (self.a_indices, self.b_indices, self.c_indices), len(self.state.dims)
         )
@@ -352,7 +369,7 @@ def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
     ``keep`` must be a non-empty collection of distinct subsystem indices;
     the result retains those subsystems in their original order.
     """
-    keep = sorted(set(int(i) for i in keep))
+    keep = sorted(set(_ints(keep)))
     if not keep:
         raise ValueError("keep must name at least one subsystem")
     n = len(rho.dims)

@@ -16,6 +16,7 @@ from .core import (
     Bipartition,
     DensityMatrix,
     TripartiteState,
+    _DEFAULT_TOL,
     _check_cut,
     _check_tol,
     _ptrace_array,
@@ -37,8 +38,6 @@ __all__ = [
 
 # Eigenvalues at or below this are treated as exact zeros inside entropies.
 _ENTROPY_EIG_CUTOFF = 1e-12
-
-PPT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -142,7 +141,7 @@ def log_negativity(rho: DensityMatrix, cut: Bipartition) -> float:
     return max(0.0, float(np.log2(np.sum(np.abs(w)))))
 
 
-def is_ppt(rho: DensityMatrix, cut: Bipartition, tol: float = PPT_TOL) -> bool:
+def is_ppt(rho: DensityMatrix, cut: Bipartition, tol: float = _DEFAULT_TOL) -> bool:
     """Whether the partial transpose across ``cut`` is positive to ``tol``."""
     _check_tol(tol)
     w = np.linalg.eigvalsh(partial_transpose(rho, cut))

@@ -69,7 +69,7 @@ _SCHUR_CHUNK = 2**16
 _PSD_BOUND, _PPT_BOUND, _TOP_BOUND = 2.3095 * 2.0**-53, 8.79 * 2.0**-53, 1.0 - 2.0**-38
 
 
-@dataclass
+@dataclass(frozen=True)
 class PptOptConfig:
     """Knobs of the trace-distance solver.
 

@@ -5,6 +5,7 @@ import importlib
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +17,7 @@ import pptmerge
 from pptmerge import DIMENSION_CAP, Bipartition, TripartiteState, loads_state, save_state
 from pptmerge.cli import main
 from pptmerge.families import GenerationError
-from helpers import random_pure
+from helpers import random_density, random_pure
 from oracles import schmidt_overlap
 
 cli_mod = importlib.import_module("pptmerge.cli")
@@ -126,6 +127,13 @@ def test_measure_error_paths(tmp_path, capsys):
     assert main(["measure", str(phi), "log-negativity", "--cut", "0:"]) == 2
     assert main(["measure", str(phi), "log-negativity", "--cut", "0,1"]) == 2
     assert main(["measure", str(phi), "log-negativity", "--cut", "0:2"]) == 2
+    # a measure that takes no cut rejects one, even a malformed one
+    capsys.readouterr()
+    assert main(["measure", str(phi), "entropy", "--cut", "zzz"]) == 2
+    assert capsys.readouterr().err == "error: measure 'entropy' takes no --cut\n"
+    ghz = _generate(tmp_path, "ghz")
+    assert main(["measure", str(ghz), "conditional-entropy", "--cut", "AB:C"]) == 2
+    assert capsys.readouterr().err == "error: measure 'conditional-entropy' takes no --cut\n"
     # missing and malformed files
     assert main(["measure", str(phi) + ".nope", "entropy"]) == 2
     bad = phi.parent / "bad.json"
@@ -141,6 +149,24 @@ def test_measure_label_cut_must_cover_parties(tmp_path, capsys):
     assert main(["measure", str(ghz), "log-negativity", "--cut", "A:B"]) == 2
     assert main(["measure", str(ghz), "log-negativity", "--cut", "AB:C"]) == 0
     capsys.readouterr()
+
+
+# Party of each subsystem of a (2, 3, 2) file whose labels are not in index order.
+PERMUTED_LABELS = {"A": "2", "B": "0", "C": "1"}
+
+
+@pytest.mark.parametrize("measure", ["log-negativity", "mutual-information"])
+@pytest.mark.parametrize("cut", ["A:BC", "BC:A", "B:AC", "AC:B", "C:AB", "AB:C"])
+@pytest.mark.parametrize("case", [str.upper, str.lower])
+def test_label_cut_prints_what_its_index_cut_prints(tmp_path, capsys, measure, cut, case):
+    rho = random_density(np.random.default_rng(23), (2, 3, 2))
+    path = tmp_path / "permuted.json"
+    save_state(TripartiteState(rho, (2,), (0,), (1,)), path)
+    index_cut = ":".join(",".join(PERMUTED_LABELS[ch] for ch in side) for side in cut.split(":"))
+    assert main(["measure", str(path), measure, "--cut", index_cut]) == 0
+    want = capsys.readouterr().out
+    assert main(["measure", str(path), measure, "--cut", case(cut)]) == 0
+    assert capsys.readouterr().out == want
 
 
 def test_classify_single_and_multi(tmp_path, capsys):
@@ -446,3 +472,22 @@ def test_readme_quick_start_prints_what_its_comments_say(capsys):
     assert len(printed) == len(expected)
     for got, want in zip(printed, expected):
         assert len(got) == len(want) and all(map(_same_token, got, want)), (got, want)
+
+
+def test_readme_cli_quick_start_prints_what_its_comments_say(tmp_path, monkeypatch, capsys):
+    block = re.search(r"## Quick start \(CLI\).*?```sh\n(.*?)```", README.read_text(), re.DOTALL)
+    monkeypatch.chdir(tmp_path)
+    checked = []
+    for line in block.group(1).splitlines():
+        command, _, comment = line.partition("#")
+        if not command.startswith("pptmerge "):
+            continue
+        expected = comment.split()
+        if len(expected) > 1:  # a description, such as the batch line's input files
+            continue
+        capsys.readouterr()
+        assert main(shlex.split(command)[1:]) == 0, line
+        if expected:
+            assert capsys.readouterr().out == expected[0] + "\n", line
+            checked.append(expected[0])
+    assert len(checked) == 5

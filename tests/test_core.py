@@ -232,6 +232,8 @@ def test_tripartite_state_validation():
         TripartiteState(rho, (0,), (0, 1), (2,))
     with pytest.raises(ValueError):
         TripartiteState(rho, (0,), (1,), (3,))
+    with pytest.raises(ValueError, match="state must be a DensityMatrix, got PureState"):
+        TripartiteState(PureState((2, 2, 2), np.eye(8)[0]), (0,), (1,), (2,))
 
 
 def test_tripartite_from_pure():
@@ -310,6 +312,36 @@ def test_partial_trace_keep_all_and_errors():
         partial_trace(rho, [])
     with pytest.raises(ValueError):
         partial_trace(rho, [2])
+
+
+MIXED_4 = DensityMatrix((2, 2), np.eye(4) / 4)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: TripartiteState(DensityMatrix((2, 2, 2), np.eye(8) / 8), (0.2,), (1.7,), (2,)),
+        lambda: DensityMatrix((2.7, 2), np.eye(4) / 4),
+        lambda: DensityMatrix(("2", "2"), np.eye(4) / 4),
+        lambda: PureState((2.0, 2), np.eye(4)[0]),
+        lambda: partial_trace(MIXED_4, [0.5]),
+        lambda: Bipartition((0.0,), (1,)),
+        lambda: Bipartition.of((1.0,), 3),
+    ],
+    ids=["tripartite", "dims-float", "dims-str", "pure-dims", "keep", "bipartition", "of"],
+)
+def test_integer_inputs_are_checked_not_truncated(build):
+    with pytest.raises(ValueError, match="expected integers"):
+        build()
+
+
+def test_numpy_integers_are_integers():
+    rho = DensityMatrix((np.int64(2), np.int32(2)), np.eye(4) / 4)
+    assert rho.dims == (2, 2) and all(type(d) is int for d in rho.dims)
+    assert partial_trace(rho, np.array([1])).dims == (2,)
+    assert Bipartition.of(np.array([1]), 2) == Bipartition((1,), (0,))
+    t = TripartiteState(DensityMatrix((2, 2, 2), np.eye(8) / 8), *np.arange(3).reshape(3, 1))
+    assert t.cut_ab_c() == Bipartition((0, 1), (2,))
 
 
 def test_partial_transpose_phi_plus_spectrum():

@@ -1,5 +1,7 @@
 """Optimisers over the PPT-constrained state set."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,11 @@ def test_config_validation():
     for tol in (0.0, -1e-7, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="tol must be finite and positive"):
             PptOptConfig(tol=tol)
+    # the checks above hold for the config's life: no field can be reassigned
+    config = PptOptConfig()
+    for field, value in (("tol", float("nan")), ("tol", float("inf")), ("max_iters", 0)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, field, value)
 
 
 def test_max_overlap_bell_pair():

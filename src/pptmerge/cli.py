@@ -26,6 +26,7 @@ from .core import (
     SizeLimitError,
     TripartiteState,
     _DEFAULT_TOL,
+    _check_tol,
 )
 from .families import (
     GenerationError,
@@ -138,6 +139,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_measure(args) -> int:
+    _check_tol(args.tol)
     state = load_state(args.state)
     needs_cut, evaluate = _MEASURES[args.measure]
     if needs_cut != (args.cut is not None):

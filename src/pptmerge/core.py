@@ -109,12 +109,73 @@ def _checked(
 
 def _ints(values) -> tuple[int, ...]:
     """The values as Python ints; raises ``ValueError`` on a value that is not
-    an integer, such as a float or a string.  numpy integers are accepted."""
+    an integer, such as a float, a string or a bool.  numpy integers are
+    accepted."""
     values = tuple(values)
     try:
+        if any(isinstance(v, bool) for v in values):
+            raise TypeError
         return tuple(operator.index(v) for v in values)
     except TypeError as exc:
         raise ValueError(f"expected integers, got {values!r}") from exc
+
+
+def _sectors(data: np.ndarray, dims: Sequence[int]) -> np.ndarray:
+    """The symmetry sector of each basis state of a Hermitian matrix on
+    subsystems ``dims``, numbered from 0: two states share a number exactly
+    when they share a sector.
+
+    Let ``ind(a)``, of length ``sum(dims)``, stack the level indicators of
+    basis state a.  The matrix commutes with each local diagonal unitary
+    ``(x)_s diag(exp(i theta_s))`` whose charge ``theta . ind(a)`` is equal
+    at both ends of every nonzero entry (a, b).  A sector is a set of states
+    with equal charges under all of those, so a and b share one exactly when
+    ``ind(a) - ind(b)`` lies in the rational span of the rows
+    ``ind(a') - ind(b')`` over the nonzero entries.  The span comes from
+    exact, fraction-free integer elimination over the distinct rows, which
+    stops once the rank reaches ``sum(d_s - 1)``: one sector, which a dense
+    matrix reaches within its first row.  Otherwise a state's sector is the
+    normal form of ``ind(a)`` modulo the span, scaled to integers.  Zero
+    means exactly zero: there is no tolerance.
+    """
+    D = data.shape[0]
+    digits = np.unravel_index(np.arange(D), dims)
+    ind = np.concatenate([np.eye(d, dtype=int)[k] for d, k in zip(dims, digits)], axis=1).tolist()
+
+    def clear(r, v, p):  # r with its column p cleared by v, whose pivot is p
+        if not r[p]:
+            return r
+        c, e = v[p], r[p]
+        r = [c * x - e * y for x, y in zip(r, v)]
+        g = math.gcd(*r)
+        return [x // g for x in r] if g > 1 else r
+
+    basis, seen = [], set()  # (pivot, row): each row is 0 at the other pivots
+    for a in range(D):
+        for b in (np.flatnonzero(data[a, a + 1 :]) + a + 1).tolist():
+            row = tuple(map(operator.sub, ind[a], ind[b]))
+            if row in seen:
+                continue
+            seen.add(row)
+            for p, v in basis:
+                row = clear(row, v, p)
+            if any(row):
+                p = next(k for k, x in enumerate(row) if x)
+                row = [x if row[p] > 0 else -x for x in row]
+                basis = [(q, clear(v, row, p)) for q, v in basis] + [(p, row)]
+                if len(basis) == sum(dims) - len(dims):
+                    return np.zeros(D, dtype=int)
+    scale = math.lcm(*(v[p] for p, v in basis))
+
+    def charge(x):
+        out = [scale * c for c in x]
+        for p, v in basis:
+            if x[p]:
+                out = [o - scale // v[p] * y for o, y in zip(out, v)]
+        return tuple(out)
+
+    numbers = {}
+    return np.array([numbers.setdefault(charge(x), len(numbers)) for x in ind])
 
 
 def _check_dims(dims) -> tuple[int, ...]:

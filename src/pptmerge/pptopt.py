@@ -7,12 +7,13 @@ The feasible set is
 The best overlap of a pure target with F(cut) has a closed form, one SVD
 (:func:`max_overlap_ppt`).  The least trace distance to F(cut) is a
 semidefinite program, solved by one dense primal-dual interior-point kernel
-(:func:`_interior_point`).  sigma is parametrised as ``I/D`` plus traceless
-coordinates, so every iterate is a unit-trace state strictly inside both
-cones and is a valid certificate as it stands, with no polishing step; so
-is, up to rounding, the point where a predictor direction meets the cone
-boundary.  The kernel's primal point gives a certified bound on the other
-side, and the solver stops once the two are within ``tol``.
+(:func:`_interior_point`) on the entries inside rho's symmetry sectors.
+sigma is parametrised as ``I/D`` plus traceless coordinates, so every
+iterate is a unit-trace state strictly inside both cones and is a valid
+certificate as it stands, with no polishing step; so is, up to rounding,
+the point where a predictor direction meets the cone boundary.  The
+kernel's primal point gives a certified bound on the other side, and the
+solver stops once the two are within ``tol``.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .core import (
     _density_with_spectrum,
     _herm,
     _pt_array,
+    _sectors,
 )
 
 __all__ = [
@@ -47,10 +49,14 @@ __all__ = [
     "geometric_distillability_ppt",
 ]
 
-# Most rows m of the kernel's Schur system, 2 D^2 - 1 for the trace-distance
-# program.  An iteration costs O(m^3) time and O(m^2) memory; at D = 28 one
-# rank-2 solve took 2.4-2.7 s and a 93 MB peak RSS (complex) or 0.7-0.8 s and
-# 57 MB (real) on two cores, 29 MB of it the interpreter and its imports.
+# Most rows m of the kernel's Schur system.  The trace-distance program uses
+# m = 2 (D + h) - 1 for a real rho and 2 (D + 2 h) - 1 for a complex one, with
+# h the entries above the diagonal inside rho's sectors: D (D - 1) / 2 for a
+# dense rho, so 2 D^2 - 1 rows for a dense complex one.  An iteration costs
+# O(m^3) time and O(m^2) memory; at D = 28 one dense rank-2 solve took
+# 2.4-2.7 s and a 93 MB peak RSS (complex, 1567 rows) or 0.7-0.8 s and 57 MB
+# (real, 811 rows), and at D = 39 a real one (1559 rows) 2.9 s and 89 MB, on
+# two cores, 29 MB of each the interpreter and its imports.
 OPT_SCHUR_CAP = 1600
 
 # Shares of the step to the nearest cone boundary (see _interior_point):
@@ -131,22 +137,31 @@ class GeoDistResult:
 
 
 class _Coords:
-    """Orthonormal real coordinates of D x D Hermitian matrices.
+    """Orthonormal real coordinates of D x D Hermitian matrices that vanish
+    off a given set of entries.
 
     Coordinate j < D is the diagonal matrix ``diag(W[:, j])``, with W
     orthogonal and ``W[:, 0] = +-1/sqrt(D)``, so coordinate 0 alone carries
     the trace.  Then come sqrt(2) Re and, unless ``real``, sqrt(2) Im of the
-    entries above the diagonal.  A real program (real rho, real C) has a
-    real symmetric optimum, since averaging a feasible sigma with its complex
-    conjugate keeps it feasible and does not worsen the objective; its
-    coordinates and arithmetic are then real.
+    h entries ``upper`` above the diagonal (all of them, or those inside
+    rho's sectors), so ``n = D + h`` or ``D + 2h``.  A real program (real
+    rho, real C) has a real symmetric optimum, since averaging a feasible
+    sigma with its complex conjugate keeps it feasible and does not worsen
+    the objective; its coordinates and arithmetic are then real.  Matrices
+    stay D x D whatever the entries kept.
     """
 
-    def __init__(self, dims: tuple[int, ...], transpose: Sequence[int], real: bool):
+    def __init__(
+        self,
+        dims: tuple[int, ...],
+        transpose: Sequence[int],
+        real: bool,
+        upper: tuple[np.ndarray, np.ndarray],
+    ):
         D = math.prod(dims)
         self.D, self.dims, self.transpose = D, dims, transpose
-        self.upper = np.triu_indices(D, 1)
-        self.h = self.upper[0].size
+        self.upper = upper
+        self.h = upper[0].size
         self.imag = not real
         self.n = D + (2 if self.imag else 1) * self.h
         self.dtype = complex if self.imag else float
@@ -160,10 +175,12 @@ class _Coords:
         pt = _pt_array(np.arange(D * D).reshape(D, D), dims, transpose).reshape(-1)
         self.entries = np.divmod(flat, D), np.divmod(pt[flat], D)
         # the Schur rows of each chunk: the diagonal (first chunk only), then
-        # t0:t1 of the entries above and of those below it
-        step, h = max(1, _SCHUR_CHUNK // D**2), self.h
+        # t0:t1 of the entries above and of those below it; a row gathers
+        # one product per entry, D + 2h of them
+        h = self.h
+        step = max(1, _SCHUR_CHUNK // flat.size)
         self.chunks = []
-        for t0 in range(0, h, step):
+        for t0 in range(0, max(h, 1), step):
             t1, lead = min(h, t0 + step), D if t0 == 0 else 0
             rows = np.r_[0:lead, D + t0 : D + t1, D + h + t0 : D + h + t1]
             self.chunks.append((t0, t1, lead, rows))
@@ -172,7 +189,7 @@ class _Coords:
         # call then faulted it back in (2x the time per call at D = 9).  They
         # hold a block's gathered factors; the caller of schur makes one slab
         # of ``slab`` entries for each group pair's sum.
-        self.slab = (D + 2 * min(step, h)) * D * D
+        self.slab = (D + 2 * min(step, h)) * flat.size
         self.work = np.empty((2, self.slab), self.dtype)
 
     def mat(self, h: np.ndarray) -> np.ndarray:
@@ -207,11 +224,12 @@ class _Coords:
         (b, a) leaves the real part over a Hermitian basis unchanged; so a
         term is a Kronecker product read at the entries in the order
         diagonal, above, below, and the change to coordinates is sums and
-        differences of slices.  Each term is gathered once into a work slab
-        and added in place to every pair that lists it, whose sum starts at
-        zero in each chunk (4 gathers for the trace-distance program, where
-        one pass per pair took 6), and the change to coordinates runs once
-        over the stack of pair sums.  Rows go in
+        differences of slices.  A row of the gather holds one product per
+        kept entry, D + 2h of them.  Each term is gathered once into a work
+        slab and added in place to every pair that lists it, whose sum
+        starts at zero in each chunk (4 gathers for the trace-distance
+        program, where one pass per pair took 6), and the change to
+        coordinates runs once over the stack of pair sums.  Rows go in
         chunks of about ``_SCHUR_CHUNK`` entries, one chunk for every
         D <= 16, through the work arrays made in ``__init__`` and ``sums``,
         made once per solve: a whole D^2 x D^2 product near
@@ -224,7 +242,7 @@ class _Coords:
             return out[g * n : (g + 1) * n, g2 * n : (g2 + 1) * n]
 
         for t0, t1, lead, rows in self.chunks:
-            size = rows.size * D * D
+            size = rows.size * (D + 2 * h)
             term = self.work[0, :size].reshape(rows.size, -1)
             Yc = self.work[1, :size].reshape(-1, rows.size)
             K = sums[:, :size].reshape(len(pairs), rows.size, -1)
@@ -523,18 +541,38 @@ def min_trace_distance_ppt(
     multiplier of ``sigma^Gamma``: for 0 <= W <= I and Z >= 0,
     T(rho, sigma) >= Tr W (rho - sigma) >= Tr W rho - Tr (W + Z^Gamma) sigma
     on F(cut).  ``gap`` is ``value`` minus that bound.
+
+    sigma and P keep only the entries inside rho's symmetry sectors
+    (:func:`core._sectors`), which loses nothing.  rho is fixed by a torus
+    of local diagonal unitaries.  Conjugating sigma by a local unitary
+    conjugates sigma^Gamma by another (its transposed factors complex
+    conjugated), so it keeps F(cut); conjugating P too keeps
+    ``P >= rho - sigma`` and ``Tr P``.  So the torus average of an optimal
+    (sigma, P) is optimal, and it is zero off the sectors (symmetry
+    reduction of an SDP: K. Gatermann and P. A. Parrilo, J. Pure Appl.
+    Algebra 192, 95 (2004); the twirl of K. G. H. Vollbrecht and
+    R. F. Werner, PRA 64, 062307 (2001)).  The blocks stay D x D, so the
+    lower bound above is weak duality over all of F(cut) and needs no
+    symmetry.  A dense rho has one sector and runs the full program.  The
+    rows counted against ``OPT_SCHUR_CAP`` are those used, found before
+    any other work.
     """
     config = config or PptOptConfig()
-    m = 2 * rho.dim**2 - 1
-    if m > OPT_SCHUR_CAP:
-        raise SizeLimitError(
-            f"the optimiser would need {m} Schur rows, above the cap {OPT_SCHUR_CAP}"
-        )
     dims = rho.dims
     _check_cut(cut, len(dims))
     D = rho.dim
     real = not rho.data.imag.any()
-    coords = _Coords(dims, cut.left, real)
+    sector = _sectors(rho.data, dims)
+    sizes = np.bincount(sector)
+    h = int(sizes @ (sizes - 1)) // 2  # entries above the diagonal inside a sector
+    m = 2 * (D + (1 if real else 2) * h) - 1
+    if m > OPT_SCHUR_CAP:
+        raise SizeLimitError(
+            f"the optimiser would need {m} Schur rows, above the cap {OPT_SCHUR_CAP}"
+        )
+    i, j = np.triu_indices(D, 1)
+    inside = sector[i] == sector[j]
+    coords = _Coords(dims, cut.left, real, (i[inside], j[inside]))
     data = rho.data.real if real else rho.data
     eye = np.eye(D, dtype=coords.dtype)
 

@@ -44,6 +44,21 @@ def haar_unitary(rng, dim):
     return q * (d / np.abs(d))
 
 
+def isotropic(d, f):
+    """Isotropic state of fidelity f; its trace distance to PPT is f - 1/d."""
+    v = np.eye(d).reshape(-1) / np.sqrt(d)
+    proj = np.outer(v, v)
+    return DensityMatrix((d, d), f * proj + (1.0 - f) * (np.eye(d * d) - proj) / (d * d - 1))
+
+
+def werner(d, p):
+    """Werner state of antisymmetric weight p; its trace distance to PPT is p - 1/2."""
+    D = d * d
+    swap = np.eye(D).reshape(d, d, d, d).transpose(0, 1, 3, 2).reshape(D, D)
+    anti, sym = (np.eye(D) - swap) / 2.0, (np.eye(D) + swap) / 2.0
+    return DensityMatrix((d, d), p * anti / np.trace(anti) + (1.0 - p) * sym / np.trace(sym))
+
+
 def random_tripartite(rng, dims=(2, 2, 2), rank=None):
     rho = random_density(rng, dims, rank=rank)
     return TripartiteState(rho, (0,), (1,), (2,))

@@ -176,3 +176,26 @@ def least_eigenvalue_near_rank_one(matrix):
     H = np.eye(len(v), dtype=np.clongdouble) - 2 * np.outer(w, w.conj()) / np.sum(np.abs(w) ** 2)
     B = H.conj().T @ A.astype(np.clongdouble) @ H
     return float(np.linalg.eigvalsh(B[1:, 1:].astype(complex))[0])
+
+
+def same_torus_sector(matrix, dims, tol=1e-9):
+    """(D, D) boolean matrix: whether basis states a and b share a sector of
+    ``matrix``, that is, have equal charge ``theta . ind(a)`` under every
+    local diagonal unitary ``(x)_s diag(exp(i theta_s))`` that fixes it.
+
+    ``ind(a)`` stacks the level indicators of a's digits.  The charges theta
+    are the null space of the rows ``ind(a) - ind(b)`` over the nonzero
+    entries (a, b), read off a float SVD (a leading zero row keeps the
+    matrix non-empty); a and b share a sector when their charges agree
+    within ``tol``.
+    """
+    D = int(np.prod(dims))
+    offsets = np.cumsum((0,) + tuple(dims[:-1]))
+    ind = np.zeros((D, int(sum(dims))))
+    for a, digits in enumerate(np.ndindex(*dims)):
+        ind[a, offsets + np.array(digits)] = 1.0
+    a, b = np.nonzero(np.asarray(matrix))
+    rows = np.vstack([np.zeros(ind.shape[1]), ind[a] - ind[b]])
+    _, s, vh = np.linalg.svd(rows)
+    charges = ind @ vh[int(np.sum(s > tol * max(1.0, s[0]))) :].T
+    return np.all(np.abs(charges[:, None, :] - charges[None, :, :]) <= tol, axis=2)

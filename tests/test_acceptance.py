@@ -36,7 +36,7 @@ from pptmerge import (
 from pptmerge.classify import NO_PERFECT_MERGE, PERFECT, VANISHING
 from pptmerge.cli import main
 from pptmerge.families import SEP_FAMILY_BLOCKS, SEP_FAMILY_WEIGHT_FLOOR
-from helpers import random_density, random_separable, random_pure
+from helpers import isotropic, random_density, random_separable, random_pure, werner
 from oracles import best_product_overlap, schmidt_overlap
 
 
@@ -284,3 +284,25 @@ def test_c10_fidelity_lower_bound_range_and_value(criterion):
         ok,
         f"out of range: {out_of_range}/1000, Bell payload: {frozen:.9f}",
     )
+
+
+@pytest.mark.parametrize(
+    "name, state, cut, exact",
+    [
+        ("Werner d = 7 (D = 49)", werner(7, 0.8), ["--cut", "0:1"], 0.8 - 0.5),
+        ("isotropic d = 8 (D = 64)", isotropic(8, 0.8), ["--cut", "0:1"], 0.8 - 1 / 8),
+        ("sep_no_merge_family(0) across AB:C (D = 60)", sep_no_merge_family(0), [], 0.0),
+    ],
+    ids=["werner-d7", "isotropic-d8", "sep-no-merge-ab-c"],
+)
+def test_c11_states_with_sectors_certify_above_the_dense_schur_cap(
+    tmp_path, capsys, criterion, name, state, cut, exact
+):
+    # past the 1600-row cap as dense programs (2 D^2 - 1 rows), these fit on
+    # their symmetry sectors: the trace distance, the upper end of the
+    # geodist bracket, is p - 1/2, f - 1/d and 0
+    save_state(state, tmp_path / "state.json")
+    code = main(["geodist", str(tmp_path / "state.json"), *cut])
+    high = float((capsys.readouterr().out.split() or ["nan"])[-1])
+    ok = code == 0 and abs(high - exact) <= 1e-6
+    criterion(f"C11 {name} exits 0 with T = {exact:.6f}", ok, f"exit {code}, T = {high:.9f}")

@@ -204,6 +204,34 @@ def test_non_finite_or_negative_tol_exits_2(tmp_path, capsys, tol):
     assert captured.err.count("tol must be finite and non-negative") == 3
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-5"])
+@pytest.mark.parametrize(
+    "measure, cut",
+    [
+        ("entropy", None),
+        ("conditional-entropy", None),
+        ("mutual-information", "AB:C"),
+        ("log-negativity", "AB:C"),
+        ("hashing-witness", "A:BC"),
+        ("negativity-witness", "AB:C"),
+        ("is-ppt", "AB:C"),
+    ],
+)
+def test_every_measure_rejects_a_tol_that_is_not_finite_and_non_negative(
+    tmp_path, capsys, measure, cut, tol
+):
+    # only is-ppt reads the tolerance, but every measure checks it
+    ghz = _generate(tmp_path, "ghz")
+    capsys.readouterr()
+    argv = ["measure", str(ghz), measure] + ([] if cut is None else ["--cut", cut])
+    assert main(argv + [f"--tol={tol}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: tol must be finite and non-negative, got {float(tol)!r}\n"
+    assert main(argv + ["--tol=0"]) == 0
+    capsys.readouterr()
+
+
 def test_classify_requires_labels(tmp_path, capsys):
     phi = _generate(tmp_path, "phi-plus")
     capsys.readouterr()
@@ -412,12 +440,10 @@ def test_overlap_takes_no_solver_flags(tmp_path, capsys):
 
 
 def test_geodist_exits_3_just_above_the_schur_row_cap(tmp_path, capsys):
-    # D = 30 mixed: 2 * 30^2 - 1 = 1799 Schur rows
-    payload = {"dims": [5, 6], "matrix": [[v / 30, 0.0] for v in np.eye(30).ravel()]}
-    path = tmp_path / "big.json"
-    path.write_text(json.dumps({"format_version": 1, **payload}))
-    assert main(["geodist", str(path), "--cut", "0:1"]) == 3
-    assert "Schur rows" in capsys.readouterr().err
+    # D = 30, dense and complex: one sector, 2 * 30^2 - 1 = 1799 Schur rows
+    save_state(random_density(np.random.default_rng(243), (5, 6), rank=2), tmp_path / "big.json")
+    assert main(["geodist", str(tmp_path / "big.json"), "--cut", "0:1"]) == 3
+    assert "1799 Schur rows" in capsys.readouterr().err
 
 
 def test_version_flag(capsys):

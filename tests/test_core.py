@@ -327,8 +327,15 @@ MIXED_4 = DensityMatrix((2, 2), np.eye(4) / 4)
         lambda: partial_trace(MIXED_4, [0.5]),
         lambda: Bipartition((0.0,), (1,)),
         lambda: Bipartition.of((1.0,), 3),
+        lambda: Bipartition((False,), (True,)),
+        lambda: Bipartition.of((True,), 2),
+        lambda: partial_trace(MIXED_4, [True]),
+        lambda: DensityMatrix((2, True), np.eye(2) / 2),
     ],
-    ids=["tripartite", "dims-float", "dims-str", "pure-dims", "keep", "bipartition", "of"],
+    ids=[
+        "tripartite", "dims-float", "dims-str", "pure-dims", "keep", "bipartition", "of",
+        "bipartition-bool", "of-bool", "keep-bool", "dims-bool",
+    ],
 )
 def test_integer_inputs_are_checked_not_truncated(build):
     with pytest.raises(ValueError, match="expected integers"):

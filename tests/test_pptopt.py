@@ -27,7 +27,7 @@ from pptmerge import pptopt
 from pptmerge.core import _pt_array
 from pptmerge.pptopt import _Coords
 from pptmerge.families import phi_plus, robust_vanishing_family
-from helpers import random_density, random_pure
+from helpers import isotropic, random_density, random_pure, werner
 from oracles import best_product_overlap, least_eigenvalue_near_rank_one, schmidt_overlap
 
 CUT01 = Bipartition((0,), (1,))
@@ -35,21 +35,6 @@ TOL = PptOptConfig().tol
 
 # 1 - sqrt(1/2), the geometric distillability of one Bell pair
 GEODIST_PHI = 0.29289321881345254
-
-
-def _isotropic(d, f):
-    """Isotropic state of fidelity f; its trace distance to PPT is f - 1/d."""
-    v = np.eye(d).reshape(-1) / np.sqrt(d)
-    proj = np.outer(v, v)
-    return DensityMatrix((d, d), f * proj + (1.0 - f) * (np.eye(d * d) - proj) / (d * d - 1))
-
-
-def _werner(d, p):
-    """Werner state of antisymmetric weight p; its trace distance to PPT is p - 1/2."""
-    D = d * d
-    swap = np.eye(D).reshape(d, d, d, d).transpose(0, 1, 3, 2).reshape(D, D)
-    anti, sym = (np.eye(D) - swap) / 2.0, (np.eye(D) + swap) / 2.0
-    return DensityMatrix((d, d), p * anti / np.trace(anti) + (1.0 - p) * sym / np.trace(sym))
 
 
 def test_config_validation():
@@ -106,8 +91,10 @@ def _interior_margins(res, cut):
 def test_schur_matrix_matches_its_definition(monkeypatch, real):
     # every group pair of the trace-distance layout (4 blocks, 2 groups, block
     # 3 transposed) sums Re Tr(B_i X_k B_j Y_k) over the blocks k in both of
-    # its groups, with B_i^Gamma for block 3; in one row chunk at D = 6 and
-    # in 5 and 15 chunks (of 3 and 1 entry pairs)
+    # its groups, with B_i^Gamma for block 3, over the basis of the entries
+    # kept; at D = 6 with all 15 entries above the diagonal, with the 4
+    # inside sectors (0, 1, 4) and (2, 3), and with none, each in the
+    # default row chunks and in chunks of 2^7 and of 1 matrix entries
     rng = np.random.default_rng(233)
     dims = (2, 3)
     transposed = (0, 0, 0, 1)
@@ -115,26 +102,32 @@ def test_schur_matrix_matches_its_definition(monkeypatch, real):
     X, Y = np.split(g @ g.conj().transpose(0, 2, 1), 2)
     # blocks [[1, 1], [0, 1], [1, 0], [1, 0]]: the blocks in both groups of each pair
     pairs = [(0, 0, [0, 2, 3]), (0, 1, [0]), (1, 1, [0, 1])]
-    for chunk, count in ((pptopt._SCHUR_CHUNK, 1), (2**7, 5), (1, 15)):
-        monkeypatch.setattr(pptopt, "_SCHUR_CHUNK", chunk)
-        coords = _Coords(dims, (0,), real)
-        assert len(coords.chunks) == count
-        n = coords.n
-        basis = coords.mat(np.eye(n))
-        bases = (basis, _pt_array(basis, dims, (0,)))
-        got = np.full((2 * n, 2 * n), np.nan)
-        sums = np.empty((len(pairs), coords.slab), coords.dtype)
-        coords.schur([(X[k], Y[k], transposed[k]) for k in range(4)], pairs, sums, got)
-        for a, b, on in pairs:
-            expected = sum(
-                np.einsum("iab,bc,jcd,da->ij", bases[transposed[k]], X[k],
-                          bases[transposed[k]], Y[k]).real
-                for k in on
-            )
-            rows, cols = slice(a * n, (a + 1) * n), slice(b * n, (b + 1) * n)
-            np.testing.assert_allclose(got[rows, cols], expected, rtol=0, atol=1e-12)
-            if a != b:  # the mirrored block is the transpose, bit for bit
-                np.testing.assert_array_equal(got[cols, rows], got[rows, cols].T)
+    i, j = np.triu_indices(6, 1)
+    default = pptopt._SCHUR_CHUNK
+    for sector, counts in (
+        ((0,) * 6, (1, 5, 15)), ((0, 0, 1, 1, 0, 2), (1, 1, 4)), (range(6), (1, 1, 1))
+    ):
+        inside = np.array(sector)[i] == np.array(sector)[j]
+        for chunk, count in zip((default, 2**7, 1), counts):
+            monkeypatch.setattr(pptopt, "_SCHUR_CHUNK", chunk)
+            coords = _Coords(dims, (0,), real, (i[inside], j[inside]))
+            assert len(coords.chunks) == count
+            n = coords.n
+            basis = coords.mat(np.eye(n))
+            bases = (basis, _pt_array(basis, dims, (0,)))
+            got = np.full((2 * n, 2 * n), np.nan)
+            sums = np.empty((len(pairs), coords.slab), coords.dtype)
+            coords.schur([(X[k], Y[k], transposed[k]) for k in range(4)], pairs, sums, got)
+            for a, b, on in pairs:
+                expected = sum(
+                    np.einsum("iab,bc,jcd,da->ij", bases[transposed[k]], X[k],
+                              bases[transposed[k]], Y[k]).real
+                    for k in on
+                )
+                rows, cols = slice(a * n, (a + 1) * n), slice(b * n, (b + 1) * n)
+                np.testing.assert_allclose(got[rows, cols], expected, rtol=0, atol=1e-12)
+                if a != b:  # the mirrored block is the transpose, bit for bit
+                    np.testing.assert_array_equal(got[cols, rows], got[rows, cols].T)
 
 
 def test_certificates_are_unit_trace_states_feasible_to_rounding():
@@ -321,10 +314,10 @@ def test_min_trace_distance_bell_pair():
 @pytest.mark.parametrize(
     "rho, exact",
     [
-        (_isotropic(3, 0.6), 0.6 - 1 / 3),
-        (_isotropic(3, 0.9), 0.9 - 1 / 3),
-        (_werner(3, 0.7), 0.2),
-        (_werner(3, 0.95), 0.45),
+        (isotropic(3, 0.6), 0.6 - 1 / 3),
+        (isotropic(3, 0.9), 0.9 - 1 / 3),
+        (werner(3, 0.7), 0.2),
+        (werner(3, 0.95), 0.45),
     ],
 )
 def test_trace_distance_dual_certifies_symmetric_states_early(rho, exact):
@@ -363,24 +356,64 @@ def test_trace_distance_gap_is_read_off_the_certificate(monkeypatch):
 
     monkeypatch.setattr(pptopt, "_interior_point", recording_kernel)
     monkeypatch.setattr(pptopt, "_density_with_spectrum", mixed)
-    for rho in (phi_plus().to_density(), _isotropic(3, 0.8)):
+    for rho in (phi_plus().to_density(), isotropic(3, 0.8)):
         res = min_trace_distance_ppt(rho, CUT01)
         assert abs((res.value - res.gap) - (-bounds[-1])) <= 1e-15
 
 
 def test_min_trace_distance_dimension_cap():
-    big = DensityMatrix((2,) * 7, np.eye(128) / 128)
+    big = random_density(np.random.default_rng(227), (2,) * 7, rank=2)
     with pytest.raises(SizeLimitError):
         min_trace_distance_ppt(big, cut=Bipartition.of((0,), 7))
 
 
-def test_schur_row_cap_is_checked_before_any_work():
-    # the smallest size past the cap, 2 D^2 - 1 rows at D = 30; D = 28 (the
-    # next size down) fits
+def test_schur_row_cap_is_checked_before_any_work(monkeypatch):
+    # a dense complex state has one sector and 2 D^2 - 1 rows; the smallest
+    # size past the cap is D = 30, and D = 28 (the next size down) fits
+    rng = np.random.default_rng(231)
     rows = 2 * 30**2 - 1
     assert 2 * 28**2 - 1 <= OPT_SCHUR_CAP < rows
+
+    def no_work(*args):
+        raise AssertionError("past the cap")
+
+    monkeypatch.setattr(pptopt, "_Coords", no_work)
     with pytest.raises(SizeLimitError, match=f"{rows} Schur rows"):
-        min_trace_distance_ppt(DensityMatrix((5, 6), np.eye(30) / 30), CUT01)
+        min_trace_distance_ppt(random_density(rng, (5, 6), rank=2), CUT01)
+    with pytest.raises(AssertionError, match="past the cap"):
+        min_trace_distance_ppt(random_density(rng, (4, 7), rank=2), CUT01)
+
+
+def test_maximally_mixed_state_above_the_dense_cap_certifies_zero(monkeypatch):
+    # I/30 is diagonal: every state is its own sector, so the program keeps
+    # the 30 diagonal coordinates of sigma and of P, 59 rows
+    monkeypatch.setattr(pptopt, "OPT_SCHUR_CAP", 58)
+    rho = DensityMatrix((5, 6), np.eye(30) / 30)
+    with pytest.raises(SizeLimitError, match="59 Schur rows"):
+        min_trace_distance_ppt(rho, CUT01)
+    monkeypatch.undo()
+    res = min_trace_distance_ppt(rho, CUT01)
+    assert res.converged and 0.0 <= res.value <= res.gap <= TOL
+
+
+@pytest.mark.parametrize(
+    "rho, cut, rows",
+    [
+        (isotropic(2, 0.8), CUT01, 9),
+        (werner(2, 0.8), CUT01, 9),
+        (isotropic(3, 0.8), CUT01, 23),
+        (werner(3, 0.8), CUT01, 23),
+        (robust_vanishing_family(0.2).state, Bipartition((0, 1), (2,)), 19),
+    ],
+    ids=["isotropic-d2", "werner-d2", "isotropic-d3", "werner-d3", "robust-vanishing"],
+)
+def test_schur_rows_are_those_of_the_sectors(monkeypatch, rho, cut, rows):
+    # real states with sectors: D diagonal coordinates plus one per entry
+    # inside a sector above the diagonal, for sigma and for P, less the
+    # trace (19, 89 and 71 rows in the full program)
+    monkeypatch.setattr(pptopt, "OPT_SCHUR_CAP", 0)
+    with pytest.raises(SizeLimitError, match=f"need {rows} Schur rows"):
+        min_trace_distance_ppt(rho, cut)
 
 
 def test_geodist_pure_bell_pair():

@@ -1,7 +1,8 @@
 """Hypothesis properties of the partial transpose, measures, witnesses, classifier
 (on general states and on states classical on A), the trace-distance dual bound,
-the overlap bracket, the overlap's product certificate, and the exact Hermitian
-symmetry of every matrix the classifier and the measures hand to an eigen-solver.
+the symmetry sectors of the trace-distance program, the overlap bracket, the
+overlap's product certificate, and the exact Hermitian symmetry of every matrix
+the classifier and the measures hand to an eigen-solver.
 
 Hypothesis draws the layouts, ranks and seeds; numpy draws the states.
 """
@@ -36,9 +37,9 @@ from pptmerge import (
     trace_distance,
     von_neumann_entropy,
 )
-from pptmerge.core import _pt_array
+from pptmerge.core import _pt_array, _sectors
 from helpers import haar_unitary, random_density, random_separable
-from oracles import partial_transpose_einsum, report_numbers, schmidt_overlap
+from oracles import partial_transpose_einsum, report_numbers, same_torus_sector, schmidt_overlap
 
 _seeds = st.integers(0, 2**32 - 1)
 _dims = st.sampled_from([(2, 2), (2, 3), (3, 2), (2, 2, 2), (2, 3, 2), (2, 2, 2, 2)])
@@ -196,6 +197,70 @@ def test_trace_distance_kernel_certifies_mixed_states_in_few_iterations(
     sigma = sigma.reshape([dims[i] for i in order] * 2).transpose([*back, *(back + n)])
     sigma = DensityMatrix(dims, sigma.reshape(D, D))
     assert res.value - res.gap <= trace_distance(rho, sigma) + 1e-12
+
+
+def _sectored_state(dims, charges, real, seed):
+    """A random state whose entries (a, b) are zero unless a and b have equal
+    charges ``sum_s theta_s[a_s]`` for each row theta of ``charges``, one
+    integer per level.  Each block of equal charges is a dense Wishart draw,
+    or with odds 1 in 3 its diagonal, so that a sector can be finer than the
+    charges or hold states that no chain of nonzero entries joins.  Returns
+    the state and the (D, D) pattern of equal charges."""
+    D = int(np.prod(dims))
+    rng = np.random.default_rng(seed)
+    offsets = np.cumsum((0,) + dims[:-1])
+    levels = np.stack(np.unravel_index(np.arange(D), dims), axis=1) + offsets
+    q = np.asarray(charges)[:, levels].sum(axis=2).T
+    equal = np.all(q[:, None, :] == q[None, :, :], axis=2)
+    block = np.unique(q, axis=0, return_inverse=True)[1].reshape(-1)
+    dense = rng.random(block.max() + 1) >= 1 / 3
+    a = rng.standard_normal((D, D)) + (0 if real else 1j) * rng.standard_normal((D, D))
+    m = np.where(equal & dense[block][:, None] | np.eye(D, dtype=bool), a @ a.conj().T, 0.0)
+    return DensityMatrix(dims, m / np.trace(m).real), equal
+
+
+def _charges(data, dims):
+    n_levels = int(sum(dims))
+    level = st.lists(st.integers(-2, 2), min_size=n_levels, max_size=n_levels)
+    return data.draw(st.lists(level, min_size=1, max_size=2), label="charges")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims=st.sampled_from([(2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 2, 3), (3, 2, 2)]),
+    real=st.booleans(),
+    data=st.data(),
+    seed=_seeds,
+)
+def test_sectors_match_a_float_svd_oracle_of_the_torus(dims, real, data, seed):
+    # on states block diagonal in random sectors the exact finder agrees with
+    # the float oracle, and its sectors refine the charges drawn
+    rho, equal = _sectored_state(dims, _charges(data, dims), real, seed)
+    sector = _sectors(rho.data, dims)
+    same = sector[:, None] == sector[None, :]
+    assert np.array_equal(same, same_torus_sector(rho.data, dims))
+    assert not np.any(same & ~equal)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    layout=st.sampled_from([((2, 2), (0,)), ((2, 3), (0,)), ((2, 2, 2), (0,)), ((2, 2, 2), (1,))]),
+    real=st.booleans(),
+    data=st.data(),
+    seed=_seeds,
+)
+def test_sector_solve_matches_the_solve_of_a_rotated_copy(layout, real, data, seed):
+    # a local rotation keeps F(cut), so the least trace distance, and leaves
+    # one sector, so it runs the full program; both solves certify, and
+    # their values agree within the two gaps (and 1e-12 of rounding)
+    dims, left = layout
+    rho, _ = _sectored_state(dims, _charges(data, dims), real, seed)
+    rotated = _rotate(rho, _local_unitary(np.random.default_rng(seed), dims))
+    assert _sectors(rotated.data, dims).max() == 0
+    cut = Bipartition.of(left, len(dims))
+    a, b = min_trace_distance_ppt(rho, cut), min_trace_distance_ppt(rotated, cut)
+    assert a.converged and b.converged
+    assert abs(a.value - b.value) <= a.gap + b.gap + 1e-12
 
 
 def _random_amplitudes(rng, dims, real):

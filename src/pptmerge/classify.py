@@ -1,13 +1,21 @@
 """Decide what merging B into C does to a tripartite state.
 
 Each criterion is three-valued: ``holds`` is True, False or None (unknown),
-because most of them lean on one-sided witnesses.  The final verdict takes
-the first certified answer in the precedence order
+because most of them lean on one-sided witnesses.  One table lists the
+criteria in report order, and each row names the value of ``holds`` on
+which it certifies a verdict:
 
-    PERFECT > VANISHING > NO_PERFECT_MERGE > INCONCLUSIVE
+    perfect_merge_sufficient       True   PERFECT
+    vanishing_ppt_merge            True   VANISHING
+    vanishing_locc_merge           (reported, certifies no verdict)
+    necessary_entanglement_budget  False  NO_PERFECT_MERGE
+    separable_family_obstruction   True   NO_PERFECT_MERGE
 
-and a state certifying both PERFECT and VANISHING is a hard error, since
-no state can do that; seeing it means a bug or a broken tolerance.
+The verdict is that of the first row whose ``holds`` is the value it
+names, and INCONCLUSIVE when no row matches, so the precedence is
+PERFECT > VANISHING > NO_PERFECT_MERGE > INCONCLUSIVE.  A state on which
+both the PERFECT and the VANISHING row certify is a hard error, since no
+state can do that; seeing it means a bug or a broken tolerance.
 
 :func:`classify` is the way to evaluate the criteria: it computes the six
 spectra they read once per state and reports every criterion by name in
@@ -17,6 +25,7 @@ spectra they read once per state and reports every criterion by name in
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -158,31 +167,77 @@ def _vanishing_ppt(sp: _Spectra, tol: float) -> bool | None:
     return True if sp.hashing_a_bc > tol else None
 
 
-# The criteria decided by the spectra alone, in report order:
-# name -> (condition, rule), where rule(spectra, tol) gives (holds, witness).
-_SPECTRAL_CRITERIA = {
+_OBSTRUCTION = "A-diagonal mixture of B:C-separable qubit pairs with full Bloch rank"
+
+
+def check_sep_family_obstruction(state: TripartiteState, tol: float = _DEFAULT_TOL) -> CriterionResult:
+    """Detect the classically flagged separable structure that blocks merging.
+
+    Looks for rho = sum_i p_i |i><i|_A (x) sigma_i_BC with A a register of
+    15 or 16 flag levels, B and C single qubits, every entry off the A
+    diagonal blocks at most tol in modulus, all p_i above 1e-6, every
+    sigma_i PPT across B:C, and the sigma_i spanning the full
+    15-dimensional Bloch space.  States with that structure admit no
+    perfect merge even though they are unentangled.  Any other layout,
+    such as a register of 17 or more levels, gives ``holds`` False and no
+    witness.  The da diagonal blocks of the validated state, divided by
+    their weights, are checked as one (da, 4, 4) stack: one batched PPT
+    spectrum and one Bloch-rank SVD.
+    """
+    _check_tol(tol)
+    dims, b, c = state.dims, state.b_indices, state.c_indices
+    holds, witness = False, None
+    if (
+        len(b) == len(c) == 1
+        and dims[b[0]] == dims[c[0]] == 2
+        and SEP_FAMILY_BLOCKS <= math.prod(dims[i] for i in state.a_indices) <= 16
+    ):
+        arr, blocks, (da, _, _) = _a_blocks(state)
+        off = arr.copy()
+        off[range(da), :, range(da), :] = 0.0
+        weights = np.trace(blocks, axis1=1, axis2=2).real
+        if float(np.abs(off).max()) <= tol and weights.min() >= _OBSTRUCTION_WEIGHT_FLOOR:
+            blocks = blocks / weights[:, None, None]
+            if np.linalg.eigvalsh(_pt_array(blocks, (2, 2), (0,)))[:, 0].min() >= -tol:
+                rank = _family_rank(blocks)
+                holds, witness = bool(rank == SEP_FAMILY_BLOCKS), float(rank)
+    return CriterionResult("separable_family_obstruction", holds, witness, _OBSTRUCTION)
+
+
+_holds_witness = operator.attrgetter("holds", "witness")
+
+# Every criterion in report order: name -> (condition, rule, decides), where
+# rule(state, spectra, tol) gives (holds, witness) and decides is the
+# (holds, verdict) pair on which the criterion certifies that verdict, or None
+# for a criterion that is only reported.  The verdict is the one named by the
+# first row whose holds matches, so the row order is the verdict precedence.
+_CRITERIA = {
     # Merging succeeds perfectly when S(BC) - S(C) is non-positive.
     "perfect_merge_sufficient": (
         "S(BC) - S(C) <= tol",
-        lambda sp, tol: (bool(sp.conditional_entropy <= tol), sp.conditional_entropy),
+        lambda state, sp, tol: (bool(sp.conditional_entropy <= tol), sp.conditional_entropy),
+        (True, PERFECT),
     ),
     # The fidelity collapses to zero even with PPT assistance: certified when
     # the state is PPT across AB:C and provably distillable across A:BC.  PPT
     # with a silent distillability witness is unknown, not false.
     "vanishing_ppt_merge": (
         "PPT across AB:C and hashing witness across A:BC > tol",
-        lambda sp, tol: (_vanishing_ppt(sp, tol), sp.hashing_a_bc),
+        lambda state, sp, tol: (_vanishing_ppt(sp, tol), sp.hashing_a_bc),
+        (True, VANISHING),
     ),
     # The fidelity collapses to zero for unassisted LOCC: certified when the
     # state is distillable across A:BC and its AB:C log-negativity vanishes.
     # Anything else is unknown: a positive log-negativity does not certify
-    # that merging succeeds.
+    # that merging succeeds.  The verdict names the PPT-assisted statement,
+    # so this criterion is reported but decides nothing.
     "vanishing_locc_merge": (
         "hashing witness across A:BC > tol and log-negativity across AB:C <= tol",
-        lambda sp, tol: (
+        lambda state, sp, tol: (
             True if sp.hashing_a_bc > tol and sp.log_negativity_ab_c <= tol else None,
             sp.hashing_a_bc,
         ),
+        None,
     ),
     # Necessary condition: perfect merging cannot need more entanglement
     # across A:BC than the AB:C cut supplies.  Violated (False, perfect
@@ -191,64 +246,19 @@ _SPECTRAL_CRITERIA = {
     # condition itself, so it is never True.
     "necessary_entanglement_budget": (
         "violated when hashing(A:BC) exceeds log-negativity(AB:C) + tol",
-        lambda sp, tol: (
+        lambda state, sp, tol: (
             False if sp.hashing_a_bc - sp.log_negativity_ab_c > tol else None,
             sp.hashing_a_bc - sp.log_negativity_ab_c,
         ),
+        (False, NO_PERFECT_MERGE),
+    ),
+    # Called by its module-level name, so that a wrapper put there sees it.
+    "separable_family_obstruction": (
+        _OBSTRUCTION,
+        lambda state, sp, tol: _holds_witness(check_sep_family_obstruction(state, tol)),
+        (True, NO_PERFECT_MERGE),
     ),
 }
-
-
-def check_sep_family_obstruction(state: TripartiteState, tol: float = _DEFAULT_TOL) -> CriterionResult:
-    """Detect the classically flagged separable structure that blocks merging.
-
-    Looks for rho = sum_i p_i |i><i|_A (x) sigma_i_BC with B and C single
-    qubits, all p_i above 1e-6, every sigma_i PPT across B:C, and the
-    sigma_i spanning the full 15-dimensional Bloch space.  States with that
-    structure admit no perfect merge even though they are unentangled.
-    The da diagonal blocks of the validated state, divided by their weights,
-    are checked as one (da, 4, 4) stack: one batched PPT spectrum and one
-    Bloch-rank SVD.
-    """
-    _check_tol(tol)
-    condition = (
-        "A-diagonal mixture of B:C-separable qubit pairs with full Bloch rank"
-    )
-
-    def fail() -> CriterionResult:
-        return CriterionResult(
-            name="separable_family_obstruction",
-            holds=False,
-            witness=None,
-            condition=condition,
-        )
-
-    dims = state.dims
-    b, c = state.b_indices, state.c_indices
-    if len(b) != 1 or len(c) != 1 or dims[b[0]] != 2 or dims[c[0]] != 2:
-        return fail()
-    if not SEP_FAMILY_BLOCKS <= math.prod(dims[i] for i in state.a_indices) <= 16:
-        return fail()
-
-    arr, blocks, (da, _, _) = _a_blocks(state)
-    off = arr.copy()
-    off[range(da), :, range(da), :] = 0.0
-    if float(np.abs(off).max()) > tol:
-        return fail()
-
-    weights = np.trace(blocks, axis1=1, axis2=2).real
-    if weights.min() < _OBSTRUCTION_WEIGHT_FLOOR:
-        return fail()
-    blocks = blocks / weights[:, None, None]
-    if not np.linalg.eigvalsh(_pt_array(blocks, (2, 2), (0,)))[:, 0].min() >= -tol:
-        return fail()
-    rank = _family_rank(blocks)
-    return CriterionResult(
-        name="separable_family_obstruction",
-        holds=bool(rank == SEP_FAMILY_BLOCKS),
-        witness=float(rank),
-        condition=condition,
-    )
 
 
 def merging_cost_pure(state: TripartiteState, atol: float = _DEFAULT_TOL) -> float:
@@ -272,37 +282,26 @@ def classify(state: TripartiteState, tol: float = _DEFAULT_TOL) -> Classificatio
     """
     _check_tol(tol)
     sp = _spectra(state)
-    perfect, vanishing_ppt, vanishing_locc, necessary = (
-        CriterionResult(name, *rule(sp, tol), condition)
-        for name, (condition, rule) in _SPECTRAL_CRITERIA.items()
-    )
-    obstruction = check_sep_family_obstruction(state, tol)
-
-    if perfect.holds and vanishing_ppt.holds:
+    criteria, certified = [], []
+    for name, (condition, rule, decides) in _CRITERIA.items():
+        holds, witness = rule(state, sp, tol)
+        criteria.append(CriterionResult(name, holds, witness, condition))
+        if decides is not None and holds is decides[0]:
+            certified.append(decides[1])
+    if PERFECT in certified and VANISHING in certified:
         raise InconsistentCriteriaError(
             "state certifies both a perfect merge and a vanishing merge; "
-            f"conditional entropy = {perfect.witness!r}, "
-            f"hashing witness = {vanishing_ppt.witness!r}"
+            f"conditional entropy = {criteria[0].witness!r}, "
+            f"hashing witness = {criteria[1].witness!r}"
         )
-
-    if perfect.holds:
-        verdict = PERFECT
-    elif vanishing_ppt.holds:
-        verdict = VANISHING
-    elif obstruction.holds or necessary.holds is False:
-        verdict = NO_PERFECT_MERGE
-    else:
-        verdict = INCONCLUSIVE
-
-    witnesses = {
-        "conditional_entropy": sp.conditional_entropy,
-        "hashing_a_bc": sp.hashing_a_bc,
-        "log_negativity_ab_c": sp.log_negativity_ab_c,
-    }
     return ClassificationReport(
-        verdict=verdict,
-        criteria=(perfect, vanishing_ppt, vanishing_locc, necessary, obstruction),
-        witnesses=witnesses,
+        verdict=next(iter(certified), INCONCLUSIVE),
+        criteria=tuple(criteria),
+        witnesses={
+            "conditional_entropy": sp.conditional_entropy,
+            "hashing_a_bc": sp.hashing_a_bc,
+            "log_negativity_ab_c": sp.log_negativity_ab_c,
+        },
         fidelity_lower_bound=sp.fidelity_lower_bound,
         consistent=True,
     )

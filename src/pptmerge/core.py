@@ -234,6 +234,8 @@ class DensityMatrix:
         return float(np.vdot(self.data, self.data).real)
 
     def is_pure(self, atol: float = 1e-9) -> bool:
+        """Whether Tr rho^2 >= 1 - atol; ``atol`` is checked like any tolerance."""
+        _check_tol(atol)
         return self.purity() >= 1.0 - atol
 
 
@@ -341,8 +343,8 @@ _DEFAULT_TOL = 1e-9
 
 
 def _check_tol(tol: float) -> None:
-    """Reject a tolerance that is negative, infinite or NaN."""
-    if not 0.0 <= tol < math.inf:
+    """Reject a tolerance that is a bool, negative, infinite or NaN."""
+    if isinstance(tol, (bool, np.bool_)) or not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
 
 

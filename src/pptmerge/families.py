@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bloch import _family_rank
-from .core import DensityMatrix, PureState, TripartiteState
+from .core import DensityMatrix, PureState, TripartiteState, _ints
 
 __all__ = [
     "GenerationError",
@@ -110,9 +110,11 @@ def sep_no_merge_family(seed: int) -> TripartiteState:
     makes the family useful: it blocks perfect merging even though the
     state carries no entanglement at all.
 
-    Deterministic for a fixed seed.  Raises :class:`GenerationError` if no
+    Deterministic for a fixed seed.  Raises ``ValueError`` on a seed that
+    is not an integer (a bool included), and :class:`GenerationError` if no
     attempt within the cap reaches full Bloch rank.
     """
+    (seed,) = _ints((seed,))
     m = SEP_FAMILY_BLOCKS
     for attempt in range(_RETRY_CAP):
         rng = np.random.default_rng(seed + attempt)

@@ -93,7 +93,7 @@ class PptOptConfig:
             or self.max_iters < 1
         ):
             raise ValueError(f"max_iters must be an integer of at least 1, got {self.max_iters!r}")
-        if not 0.0 < self.tol < math.inf:
+        if isinstance(self.tol, (bool, np.bool_)) or not 0.0 < self.tol < math.inf:
             raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
 
 

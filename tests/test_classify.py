@@ -1,6 +1,7 @@
 """Criteria, verdicts and their mutual consistency."""
 
 import importlib
+import itertools
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from pptmerge import (
     tensor,
 )
 from pptmerge.classify import (
+    CriterionResult,
     INCONCLUSIVE,
     NO_PERFECT_MERGE,
     PERFECT,
@@ -197,6 +199,9 @@ def test_sep_family_obstruction_matches_block_oracle():
         ("A over two subsystems",
          _flagged(weights, blocks, (3, 5, 2, 2), ((0, 1), (2,), (3,))), (True, 15.0)),
         ("16 flags", _flagged(weights + [0.05], blocks + [extra]), (True, 15.0)),
+        # full Bloch rank and every block separable, but only 15 or 16 flag
+        # levels are accepted
+        ("17 flags", _flagged(weights + [0.05, 0.05], blocks + [extra, extra]), (False, None)),
         ("permuted blocks",
          _flagged([weights[i] for i in perm], [blocks[i] for i in perm]), (True, 15.0)),
         ("parties out of order",
@@ -290,6 +295,78 @@ def test_no_verdict_pair_is_ever_inconsistent():
     ] == 400
 
 
+def _docstring_verdict(held):
+    """The verdict the module docstring gives for the criteria's ``holds``, by name."""
+    if held["perfect_merge_sufficient"] is True:
+        return PERFECT
+    if held["vanishing_ppt_merge"] is True:
+        return VANISHING
+    if (
+        held["necessary_entanglement_budget"] is False
+        or held["separable_family_obstruction"] is True
+    ):
+        return NO_PERFECT_MERGE
+    return INCONCLUSIVE
+
+
+def test_verdict_on_every_combination_of_criteria(monkeypatch):
+    # chosen spectra, crossed with a chosen obstruction result, reach every
+    # combination of holds values the rules can give; the verdict must be the
+    # docstring's, PERFECT with VANISHING must raise, and the LOCC criterion,
+    # which is only reported, must never change the verdict
+    tol = 0.1
+    names = [
+        "perfect_merge_sufficient",
+        "vanishing_ppt_merge",
+        "vanishing_locc_merge",
+        "necessary_entanglement_budget",
+        "separable_family_obstruction",
+    ]
+    outcome = {}
+    for h, n, m, obstruction in itertools.product(
+        (-1.0, 0.15, 2.0),  # hashing witness: at most tol, within 2 tol, far above
+        (0.0, 0.08, 1.0),  # log-negativity: zero, at most tol, above
+        (0.0, -1.0),  # least AB:C partial-transpose eigenvalue: PPT, not PPT
+        (True, False),
+    ):
+        found = CriterionResult("separable_family_obstruction", obstruction, None, "chosen")
+        monkeypatch.setattr(
+            classify_mod, "check_sep_family_obstruction", lambda state, tol, r=found: r
+        )
+        rest = None  # holds of every criterion but the first, read at ce = 1
+        for ce in (1.0, -1.0):  # conditional entropy: perfect False, then True
+            sp = classify_mod._Spectra(ce, h, n, m, fidelity_lower_bound=1.0)
+            monkeypatch.setattr(classify_mod, "_spectra", lambda state, sp=sp: sp)
+            if ce < 0 and rest[0] is True:
+                with pytest.raises(InconsistentCriteriaError):
+                    classify_mod.classify(ghz(), tol)
+                outcome[(True, *rest)] = "raised"
+                continue
+            report = classify_mod.classify(ghz(), tol)
+            assert [c.name for c in report.criteria] == names
+            held = {c.name: c.holds for c in report.criteria}
+            key = tuple(held[name] for name in names)
+            assert key[0] is (ce < 0)
+            assert rest is None or key[1:] == rest
+            rest = key[1:]
+            assert report.verdict == _docstring_verdict(held), key
+            outcome[key] = report.verdict
+    # the PPT-assisted criterion is unknown only when the hashing witness is at
+    # most tol, which leaves the LOCC criterion and the budget unknown too
+    spectral = {(None, None, None)} | set(
+        itertools.product((True, False), (True, None), (False, None))
+    )
+    assert set(outcome) == {
+        (perfect, *others, obstruction)
+        for perfect in (True, False)
+        for others in spectral
+        for obstruction in (True, False)
+    }
+    for key, verdict in outcome.items():
+        if key[2] is True:
+            assert outcome[key[:2] + (None,) + key[3:]] == verdict, key
+
+
 def test_verdicts_stable_under_small_perturbation():
     rng = np.random.default_rng(167)
     cases = [
@@ -364,7 +441,8 @@ def test_fidelity_lower_bound_range_and_values():
     assert abs(classify(product_pure((1, 0), (1, 1), (0, 1))).fidelity_lower_bound - 1.0) < 1e-9
 
 
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+# a bool is not a tolerance: True used to run as tol = 1
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, True, np.True_])
 def test_tol_must_be_finite_and_non_negative(monkeypatch, tol):
     def no_spectra(state):
         raise AssertionError("spectra computed before the tol check")
@@ -385,6 +463,15 @@ def test_merging_cost_pure_values():
     assert abs(merging_cost_pure(_free_merge_state()) - (-1.0)) < 1e-9
     with pytest.raises(ValueError, match="pure"):
         merging_cost_pure(robust_vanishing_family(0.5))
+
+
+def test_merging_cost_pure_checks_atol():
+    # an infinite atol used to let a state of purity 0.34 through, and a
+    # negative one to report a pure state as mixed
+    for atol in (float("inf"), float("nan"), -1.0, True):
+        for state in (robust_vanishing_family(0.5), ghz()):
+            with pytest.raises(ValueError, match="tol must be finite and non-negative"):
+                merging_cost_pure(state, atol)
 
 
 def test_merging_cost_invariant_under_local_unitaries():

@@ -164,6 +164,9 @@ def test_purity_and_is_pure():
     mixed = DensityMatrix((2,), np.eye(2) / 2)
     assert not mixed.is_pure()
     assert abs(mixed.purity() - 0.5) < 1e-14
+    for atol in (float("inf"), float("nan"), -1.0, True):
+        with pytest.raises(ValueError, match="tol must be finite and non-negative"):
+            mixed.is_pure(atol)
 
 
 def test_purity_matches_the_trace_of_the_square():

@@ -114,6 +114,15 @@ def test_sep_no_merge_family_deterministic():
     assert not np.array_equal(a.state.data, c.state.data)
 
 
+def test_sep_no_merge_family_seed_must_be_an_integer():
+    # True used to run as seed 1, and 1.5 failed inside numpy with a TypeError
+    for seed in (True, 1.5, "1"):
+        with pytest.raises(ValueError, match="expected integers"):
+            sep_no_merge_family(seed)
+    a, b = sep_no_merge_family(np.int64(5)), sep_no_merge_family(5)
+    assert np.array_equal(a.state.data, b.state.data)
+
+
 def test_sep_no_merge_family_retry_exhaustion(monkeypatch):
     monkeypatch.setattr(families, "_family_rank", lambda stack: 14)
     with pytest.raises(GenerationError, match="100 attempts"):

@@ -42,7 +42,7 @@ def test_config_validation():
         with pytest.raises(ValueError, match="max_iters must be an integer of at least 1"):
             PptOptConfig(max_iters=max_iters)
     assert PptOptConfig(max_iters=np.int64(50)).max_iters == 50
-    for tol in (0.0, -1e-7, float("inf"), float("nan")):
+    for tol in (0.0, -1e-7, float("inf"), float("nan"), True, np.True_):
         with pytest.raises(ValueError, match="tol must be finite and positive"):
             PptOptConfig(tol=tol)
     # the checks above hold for the config's life: no field can be reassigned

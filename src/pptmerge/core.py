@@ -8,6 +8,7 @@ and the flat index of ``(i_0, ..., i_{n-1})`` is the row-major one.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -343,8 +344,9 @@ _DEFAULT_TOL = 1e-9
 
 
 def _check_tol(tol: float) -> None:
-    """Reject a tolerance that is a bool, negative, infinite or NaN."""
-    if isinstance(tol, (bool, np.bool_)) or not 0.0 <= tol < math.inf:
+    """Reject a tolerance that is not a real number, or is a bool, negative,
+    infinite or NaN."""
+    if not isinstance(tol, numbers.Real) or isinstance(tol, bool) or not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
 
 

@@ -93,7 +93,8 @@ class PptOptConfig:
             or self.max_iters < 1
         ):
             raise ValueError(f"max_iters must be an integer of at least 1, got {self.max_iters!r}")
-        if isinstance(self.tol, (bool, np.bool_)) or not 0.0 < self.tol < math.inf:
+        tol = self.tol
+        if not isinstance(tol, numbers.Real) or isinstance(tol, bool) or not 0.0 < tol < math.inf:
             raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
 
 
@@ -159,21 +160,21 @@ class _Coords:
         upper: tuple[np.ndarray, np.ndarray],
     ):
         D = math.prod(dims)
-        self.D, self.dims, self.transpose = D, dims, transpose
-        self.upper = upper
-        self.h = upper[0].size
+        self.D, self.h = D, upper[0].size
         self.imag = not real
         self.n = D + (2 if self.imag else 1) * self.h
         self.dtype = complex if self.imag else float
         ones_first = np.eye(D)
         ones_first[:, 0] = 1.0
         self.W = np.linalg.qr(ones_first)[0]
-        # row and column of each matrix entry in the order diagonal, above,
-        # below; then of the entry of the partial transpose that holds it
-        i, j = self.upper
+        # flat position in a D x D block of each kept entry, in the order
+        # diagonal, above, below; then of the entry of the block's partial
+        # transpose that holds it (the partial transpose is an involution)
+        i, j = upper
         flat = np.concatenate([np.arange(D) * (D + 1), i * D + j, j * D + i])
         pt = _pt_array(np.arange(D * D).reshape(D, D), dims, transpose).reshape(-1)
-        self.entries = np.divmod(flat, D), np.divmod(pt[flat], D)
+        self.flat = flat, pt[flat]
+        self.entries = tuple(np.divmod(f, D) for f in self.flat)
         # the Schur rows of each chunk: the diagonal (first chunk only), then
         # t0:t1 of the entries above and of those below it; a row gathers
         # one product per entry, D + 2h of them
@@ -192,24 +193,43 @@ class _Coords:
         self.slab = (D + 2 * min(step, h)) * flat.size
         self.work = np.empty((2, self.slab), self.dtype)
 
-    def mat(self, h: np.ndarray) -> np.ndarray:
-        """The Hermitian matrices of a stack of coordinate vectors (k, n)."""
-        D, (i, j) = self.D, self.upper
-        off = h[:, D : D + self.h] * 2**-0.5
-        if self.imag:
-            off = off + 1j * 2**-0.5 * h[:, D + self.h :]
-        out = np.zeros((h.shape[0], D, D), dtype=self.dtype)
-        out[:, i, j] = off
-        out[:, j, i] = off.conj()
-        out[:, range(D), range(D)] = h[:, :D] @ self.W.T
-        return out
+    def maps(self, blocks: np.ndarray, transposed: np.ndarray) -> tuple[Callable, Callable]:
+        """The kernel's linear map L and its adjoint L* for a block layout.
 
-    def vec(self, Y: np.ndarray) -> np.ndarray:
-        """Coordinates of a stack of Hermitian matrices (k, D, D)."""
-        i, j = self.upper
-        off = Y[:, i, j] * 2**0.5
-        parts = [np.diagonal(Y, axis1=1, axis2=2).real @ self.W, off.real]
-        return np.concatenate(parts + [off.imag] if self.imag else parts, axis=1)
+        ``L(v)`` is the stack (nb, D, D) whose block k sums the matrices of
+        the groups set in ``blocks[k]``, partially transposed where
+        ``transposed[k]`` is set; v holds every group's n coordinates but
+        the first, taken as 0.  ``L*(Y)`` is ``Re Tr(B Y_k)`` summed over
+        the same blocks, for each such coordinate B and Hermitian stack Y.
+        Both are index maps into the stack, with each block's partial
+        transpose folded in: L is a zero-fill, two products with the 0/1
+        weights and three scatters, and L* two gathers and two products.
+        """
+        D, h, n, s = self.D, self.h, self.n, 2**-0.5
+        nb, groups = blocks.shape
+        weight = blocks.astype(float)
+        pos = np.arange(nb)[:, None] * (D * D) + np.stack([self.flat[int(t)] for t in transposed])
+        diag, up, low = np.split(pos, [D, D + h], axis=1)
+
+        def lin(v):
+            V = np.concatenate([[0.0], v]).reshape(groups, n)
+            off = V[:, D : D + h] * s
+            if self.imag:
+                off = off + 1j * s * V[:, D + h :]
+            off = weight @ off
+            Y = np.zeros(nb * D * D, self.dtype)
+            Y[diag] = weight @ (V[:, :D] @ self.W.T)
+            Y[up] = off
+            Y[low] = off.conj()
+            return Y.reshape(nb, D, D)
+
+        def adj(Y):
+            Y = Y.reshape(-1)
+            off = Y[up] * 2**0.5
+            parts = [Y[diag].real @ self.W, off.real] + ([off.imag] if self.imag else [])
+            return (weight.T @ np.concatenate(parts, axis=1)).reshape(-1)[1:]
+
+        return lin, adj
 
     def schur(self, terms, pairs, sums: np.ndarray, out: np.ndarray) -> None:
         """Fill block (g, h) of ``out``, whose blocks are n x n, with
@@ -321,7 +341,19 @@ def _interior_point(
     factor, is positive definite, so ``bound(X)`` holds from the start.
     Over the 220 geodist-mixed benchmark inputs of seeds 1-10 and 7919 it
     took 1,583 iterations, against 1,721 from ``X = I``.  The Schur matrix
-    is assembled in one pass over the blocks (:meth:`_Coords.schur`).
+    is assembled in one pass over the blocks (:meth:`_Coords.schur`), and
+    L and L^* are index maps built once per solve (:meth:`_Coords.maps`).
+
+    An iteration makes two LU solves, one batched Cholesky factorisation
+    and inverse of the blocks of S and X (whose inverse factors, stacked
+    as R, also scale both cone-boundary tests) and the two batched
+    ``eigvalsh`` of those tests.  The trace-distance program's ``value``
+    and ``bound`` add three ``eigvalsh`` (the scores of the iterate and of
+    the predictor's boundary point, the top of the bound) and one ``eigh``
+    (the bound's clip of W).  At D = 4-9 numpy's per-call overhead, not
+    LAPACK, sets the time: on the traced geodist-mixed benchmark (seed 1,
+    two cores) an iteration took 1.2-1.7 ms, median 1.37 ms over nine
+    8 s runs.
 
     ``value(S)`` scores a dual point and ``bound(X)`` gives a certified
     upper bound from a positive definite primal point.  The dual points
@@ -329,12 +361,16 @@ def _interior_point(
     where it meets the cone boundary (or its full step): that point is
     feasible up to rounding and nearly optimal, where an iterate lags the
     optimum by about its own gap.  The loop stops once the best value
-    and the best bound are within ``config.tol``.  Returns the best dual
-    point's blocks, the best bound and the iterations taken.
+    and the best bound are within ``config.tol``, or once a step leaves S
+    or X only semidefinite in floating point, so that their Cholesky
+    factorisation fails: the gap has reached its rounding floor, which
+    happens when ``tol`` lies below it (at tol = 1e-12, on 17 of 20
+    random 2 x 2 rank-2 states, whose gaps end at 7e-13 to 3e-10).
+    Returns the best dual point's blocks, the best bound and the
+    iterations taken, the failed step included.
     """
     D, n_c = coords.D, coords.n
     nb, groups = blocks.shape
-    weight = blocks.astype(float)
     n = nb * D
     pairs = [
         (g, h, on)
@@ -344,26 +380,15 @@ def _interior_point(
     ]
     sums = np.empty((len(pairs), coords.slab), coords.dtype)
     My = np.zeros((groups * n_c, groups * n_c))
-
-    def flip(Y):
-        Y = Y.copy()
-        Y[transposed] = _pt_array(Y[transposed], coords.dims, coords.transpose)
-        return Y
-
-    def lin(v):
-        H = coords.mat(np.concatenate([[0.0], v]).reshape(groups, n_c))
-        return flip((weight @ H.reshape(groups, -1)).reshape(nb, D, D))
-
-    def adj(Y):
-        return (weight.T @ coords.vec(flip(Y))).reshape(-1)[1:]
+    lin, adj = coords.maps(blocks, transposed)
 
     # centred start X = mu S^-1; with S = L L^dag and Rs = L^-1,
-    # X^-1 = Rx^dag Rx for Rx = L^dag / sqrt(mu)
+    # X^-1 = Rx^dag Rx for Rx = L^dag / sqrt(mu); R stacks Rs over Rx
     S = C + lin(z)
     L = np.linalg.cholesky(S)
     Rs = np.linalg.inv(L)
     mu = float(np.sum(np.abs(S) ** 2)) / n
-    X, Rx = mu * (_dag(Rs) @ Rs), _dag(L) / math.sqrt(mu)
+    X, R = mu * (_dag(Rs) @ Rs), np.concatenate([Rs, _dag(L) / math.sqrt(mu)])
     best_value, best_bound, best_S = -math.inf, math.inf, None
 
     def score(S):
@@ -378,6 +403,7 @@ def _interior_point(
         if best_bound - best_value <= config.tol or it == config.max_iters:
             break
 
+        Rs = R[:nb]
         Sinv = _dag(Rs) @ Rs
         coords.schur([(X[k], Sinv[k], int(transposed[k])) for k in range(nb)], pairs, sums, My)
         M = My[1:, 1:]
@@ -385,10 +411,8 @@ def _interior_point(
 
         def boundary(dX, dS):
             """The steps at which X + a dX and S + a dS reach their cone boundaries."""
-            lam = np.linalg.eigvalsh(
-                np.concatenate([Rx @ dX @ _dag(Rx), Rs @ dS @ _dag(Rs)])
-            )[:, 0]
-            return [-1.0 / x if x < 0.0 else math.inf for x in (lam[:nb].min(), lam[nb:].min())]
+            lam = np.linalg.eigvalsh(R @ np.concatenate([dS, dX]) @ _dag(R))[:, 0]
+            return [-1.0 / x if x < 0.0 else math.inf for x in (lam[nb:].min(), lam[:nb].min())]
 
         # predictor: the affine-scaling direction
         dz = np.linalg.solve(M, b)
@@ -409,8 +433,12 @@ def _interior_point(
         X = X + ap * dX
         z = z + ad * dz
         S = C + lin(z)
-        # inverse Cholesky factors, S^-1 = Rs^dag Rs; they also prove S, X > 0
-        Rs, Rx = np.split(np.linalg.inv(np.linalg.cholesky(np.concatenate([S, X]))), 2)
+        # inverse Cholesky factors, S^-1 = Rs^dag Rs; they also prove S, X > 0,
+        # and fail once the gap has reached its rounding floor
+        try:
+            R = np.linalg.inv(np.linalg.cholesky(np.concatenate([S, X])))
+        except np.linalg.LinAlgError:
+            return best_S, best_bound, it + 1
     return best_S, best_bound, it
 
 
@@ -586,7 +614,8 @@ def min_trace_distance_ppt(
         return float(top) - float(np.sum(W * data.conj()).real)
 
     C = np.stack([eye / D - data, 0.0 * eye, eye / D, eye / D])
-    ones = coords.vec(eye[None])[0]
+    ones = np.zeros(coords.n)  # coordinates of I: W's column sums, +-sqrt(D) e_0 up to rounding
+    ones[:D] = np.eye(D).diagonal() @ coords.W
     b = np.concatenate([np.zeros(coords.n - 1), -ones])
     z = np.concatenate([np.zeros(coords.n - 1), ones])  # sigma = I/D, P = I
     blocks = np.array([[1, 1], [0, 1], [1, 0], [1, 0]], bool)

@@ -441,8 +441,9 @@ def test_fidelity_lower_bound_range_and_values():
     assert abs(classify(product_pure((1, 0), (1, 1), (0, 1))).fidelity_lower_bound - 1.0) < 1e-9
 
 
-# a bool is not a tolerance: True used to run as tol = 1
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, True, np.True_])
+# a bool is not a tolerance: True used to run as tol = 1; a string or None
+# used to raise TypeError from the comparison
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, True, np.True_, "1e-9", None])
 def test_tol_must_be_finite_and_non_negative(monkeypatch, tol):
     def no_spectra(state):
         raise AssertionError("spectra computed before the tol check")

@@ -375,6 +375,16 @@ def test_geodist_rejects_a_tol_that_is_not_finite_and_positive(tmp_path, capsys,
     assert captured.out == "" and "tol must be finite and positive" in captured.err
 
 
+def test_geodist_with_a_tol_below_the_rounding_floor_exits_0(tmp_path, capsys):
+    # this solve exited 2 with "Matrix is not positive definite"
+    save_state(random_density(np.random.default_rng(2), (2, 2), rank=2), tmp_path / "rho.json")
+    assert main(["geodist", str(tmp_path / "rho.json"), "--cut", "0:1", "--tol", "1e-12"]) == 0
+    captured = capsys.readouterr()
+    low, high = map(float, captured.out.split())
+    gap = float(captured.err.split("gap=")[1].split()[0])
+    assert 0.0 < low <= high and 0.0 <= gap <= 1e-9
+
+
 def test_geodist_requires_cut_without_labels(tmp_path, capsys):
     phi = _generate(tmp_path, "phi-plus")
     capsys.readouterr()

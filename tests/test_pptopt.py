@@ -42,7 +42,7 @@ def test_config_validation():
         with pytest.raises(ValueError, match="max_iters must be an integer of at least 1"):
             PptOptConfig(max_iters=max_iters)
     assert PptOptConfig(max_iters=np.int64(50)).max_iters == 50
-    for tol in (0.0, -1e-7, float("inf"), float("nan"), True, np.True_):
+    for tol in (0.0, -1e-7, float("inf"), float("nan"), True, np.True_, "1e-7", None):
         with pytest.raises(ValueError, match="tol must be finite and positive"):
             PptOptConfig(tol=tol)
     # the checks above hold for the config's life: no field can be reassigned
@@ -113,8 +113,10 @@ def test_schur_matrix_matches_its_definition(monkeypatch, real):
             coords = _Coords(dims, (0,), real, (i[inside], j[inside]))
             assert len(coords.chunks) == count
             n = coords.n
-            basis = coords.mat(np.eye(n))
-            bases = (basis, _pt_array(basis, dims, (0,)))
+            # the basis and its partial transpose: L of the unit vectors of
+            # group 1, which two blocks hold, the second transposed
+            lin, _ = coords.maps(np.array([[0, 1], [0, 1]], bool), np.array([False, True]))
+            bases = np.stack([lin(e) for e in np.eye(2 * n - 1)[n - 1 :]], axis=1)
             got = np.full((2 * n, 2 * n), np.nan)
             sums = np.empty((len(pairs), coords.slab), coords.dtype)
             coords.schur([(X[k], Y[k], transposed[k]) for k in range(4)], pairs, sums, got)
@@ -337,6 +339,21 @@ def test_trace_distance_exits_without_a_certified_gap_are_not_converged():
     assert not res.converged and res.gap > 1e3 * TOL
     assert res.value - res.gap <= 0.5 <= res.value + 1e-12
     assert res.value == trace_distance(rho, res.certificate)
+
+
+def test_a_tol_below_the_rounding_floor_stops_instead_of_raising():
+    # at tol = 1e-12 a step near the optimum can leave S or X semidefinite in
+    # floating point; 17 of these 20 solves raised LinAlgError from the
+    # Cholesky factorisation, and each now returns its best certified point
+    rng = np.random.default_rng(5)
+    config = PptOptConfig(tol=1e-12)
+    for _ in range(20):
+        rho = random_density(rng, (2, 2), rank=2)
+        res = min_trace_distance_ppt(rho, CUT01, config)
+        assert res.converged == (res.gap <= config.tol)
+        assert 0.0 <= res.gap <= 1e-9
+        assert max(res.residuals.values()) <= 1e-15
+        assert res.value == trace_distance(rho, res.certificate)
 
 
 def test_trace_distance_gap_is_read_off_the_certificate(monkeypatch):

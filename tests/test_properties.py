@@ -1,8 +1,9 @@
 """Hypothesis properties of the partial transpose, measures, witnesses, classifier
 (on general states and on states classical on A), the trace-distance dual bound,
-the symmetry sectors of the trace-distance program, the overlap bracket, the
-overlap's product certificate, and the exact Hermitian symmetry of every matrix
-the classifier and the measures hand to an eigen-solver.
+the symmetry sectors of the trace-distance program, its kernel's linear map
+and adjoint, the overlap bracket, the overlap's product certificate, and the
+exact Hermitian symmetry of every matrix the classifier and the measures hand
+to an eigen-solver.
 
 Hypothesis draws the layouts, ranks and seeds; numpy draws the states.
 """
@@ -38,6 +39,7 @@ from pptmerge import (
     von_neumann_entropy,
 )
 from pptmerge.core import _pt_array, _sectors
+from pptmerge.pptopt import _Coords
 from helpers import haar_unitary, random_density, random_separable
 from oracles import partial_transpose_einsum, report_numbers, same_torus_sector, schmidt_overlap
 
@@ -197,6 +199,59 @@ def test_trace_distance_kernel_certifies_mixed_states_in_few_iterations(
     sigma = sigma.reshape([dims[i] for i in order] * 2).transpose([*back, *(back + n)])
     sigma = DensityMatrix(dims, sigma.reshape(D, D))
     assert res.value - res.gap <= trace_distance(rho, sigma) + 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    layout=st.sampled_from(
+        [((2, 2), (0,)), ((2, 3), (0,)), ((2, 3), (1,)), ((3, 3), (0,)), ((2, 2, 2), (0, 2))]
+    ),
+    real=st.booleans(),
+    kept=st.sampled_from(["all", "sectors", "none"]),
+    blocks=st.lists(st.tuples(st.booleans(), st.booleans(), st.booleans()), min_size=1, max_size=4),
+    data=st.data(),
+    seed=_seeds,
+)
+def test_kernel_map_matches_its_definition_and_its_adjoint(
+    layout, real, kept, blocks, data, seed
+):
+    # L(v)_k sums blocks[k, g] H_g over the groups g, partially transposed
+    # where transposed[k], with H_g the matrix of group g's coordinates over
+    # the basis of _Coords: diag(W[:, c]), then sqrt(2) Re and sqrt(2) Im of
+    # each kept entry; and <L v, Y> = <v, L* Y> with <A, B> = Re Tr(A B)
+    dims, left = layout
+    transposed = data.draw(
+        st.lists(st.booleans(), min_size=len(blocks), max_size=len(blocks)), label="transposed"
+    )
+    rng = np.random.default_rng(seed)
+    D = int(np.prod(dims))
+    i, j = np.triu_indices(D, 1)
+    sector = {"all": np.zeros(D), "sectors": rng.integers(0, 3, D), "none": np.arange(D)}[kept]
+    inside = sector[i] == sector[j]
+    i, j = i[inside], j[inside]
+    coords = _Coords(dims, left, real, (i, j))
+    n, h, s = coords.n, i.size, 2**-0.5
+    basis = np.zeros((n, D, D), coords.dtype)
+    for c in range(D):
+        basis[c] = np.diag(coords.W[:, c])
+    for t, (a, b) in enumerate(zip(i, j)):
+        basis[D + t, a, b] = basis[D + t, b, a] = s
+        if not real:
+            basis[D + h + t, a, b], basis[D + h + t, b, a] = 1j * s, -1j * s
+    blocks = np.array(blocks, bool)
+    lin, adj = coords.maps(blocks, np.array(transposed))
+    v = rng.standard_normal(blocks.shape[1] * n - 1)
+    H = np.tensordot(np.concatenate([[0.0], v]).reshape(-1, n), basis, axes=1)
+    expected = np.tensordot(blocks.astype(float), H, axes=1)
+    for k in np.flatnonzero(transposed):
+        expected[k] = _pt_array(expected[k], dims, left)
+    np.testing.assert_allclose(lin(v), expected, rtol=0, atol=1e-13)
+    g = rng.standard_normal((len(blocks), D, D)) + (0 if real else 1j) * rng.standard_normal(
+        (len(blocks), D, D)
+    )
+    Y = g + g.conj().transpose(0, 2, 1)
+    inner = float(np.sum(lin(v).conj() * Y).real)
+    assert abs(inner - v @ adj(Y)) <= 1e-12 * (1.0 + abs(inner))
 
 
 def _sectored_state(dims, charges, real, seed):

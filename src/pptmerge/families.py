@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .bloch import _family_rank
@@ -31,6 +33,12 @@ _RETRY_CAP = 100
 
 class GenerationError(RuntimeError):
     """Randomised construction failed to meet its certificate within the retry cap."""
+
+
+def _check_unit(name: str, value: float) -> None:
+    """Reject a value that is not a real number in [0, 1], such as a bool."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool) or not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
 
 
 def phi_plus() -> PureState:
@@ -82,18 +90,22 @@ def product_example(psi: PureState) -> TripartiteState:
     )
 
 
-def _random_qubit_ket(rng: np.random.Generator) -> np.ndarray:
-    v = rng.standard_normal(2) + 1.0j * rng.standard_normal(2)
-    return v / np.linalg.norm(v)
-
-
-def _random_separable_two_qubit(rng: np.random.Generator, mixing_terms: int) -> np.ndarray:
-    """Mixture of ``mixing_terms`` product pure states of two qubits, as a 4 x 4 array."""
-    weights = rng.dirichlet(np.ones(mixing_terms))
-    out = np.zeros((4, 4), dtype=complex)
-    for w in weights:
-        ket = np.kron(_random_qubit_ket(rng), _random_qubit_ket(rng))
-        out += w * np.outer(ket, ket.conj())
+def _separable_blocks(rng: np.random.Generator, m: int, terms: int) -> np.ndarray:
+    """``m`` mixtures of ``terms`` product pure states of two qubits, as an
+    ``(m, 4, 4)`` stack.  Each block draws its Dirichlet weights, then its
+    kets' parts indexed (term, qubit, re/im, amplitude); the arithmetic is
+    that of one ket and one term at a time, so the bits are too."""
+    draws = [(rng.dirichlet(np.ones(terms)), rng.standard_normal((terms, 2, 2, 2)))
+             for _ in range(m)]
+    weights, parts = (np.array(x) for x in zip(*draws))
+    re, im = parts[..., 0, :], parts[..., 1, :]
+    norms = np.sqrt(re[..., None, :] @ re[..., None] + im[..., None, :] @ im[..., None])[..., 0]
+    kets = (re + 1.0j * im) / norms
+    pairs = (kets[..., 0, :, None] * kets[..., 1, None, :]).reshape(m, terms, 4)
+    projectors = pairs[..., :, None] * pairs[..., None, :].conj()
+    out = np.zeros((m, 4, 4), dtype=complex)
+    for t in range(terms):
+        out += weights[:, t, None, None] * projectors[:, t]
     return out
 
 
@@ -110,25 +122,29 @@ def sep_no_merge_family(seed: int) -> TripartiteState:
     makes the family useful: it blocks perfect merging even though the
     state carries no entanglement at all.
 
-    Deterministic for a fixed seed.  Raises ``ValueError`` on a seed that
-    is not an integer (a bool included), and :class:`GenerationError` if no
-    attempt within the cap reaches full Bloch rank.
+    Deterministic for a fixed seed, and the order of the draws is part of
+    that contract: attempt k seeds ``default_rng(seed + k)``, each block
+    draws its Dirichlet weights and then its kets (see
+    :func:`_separable_blocks`), and the flag weights come last.  Raises
+    ``ValueError`` on a seed that is not an integer (a bool included), and
+    :class:`GenerationError` if no attempt within the cap reaches full
+    Bloch rank.
     """
     (seed,) = _ints((seed,))
     m = SEP_FAMILY_BLOCKS
     for attempt in range(_RETRY_CAP):
         rng = np.random.default_rng(seed + attempt)
-        blocks = [_random_separable_two_qubit(rng, 4) for _ in range(m)]
-        if _family_rank(np.array(blocks)) != m:
+        blocks = _separable_blocks(rng, m, 4)
+        if _family_rank(blocks) != m:
             continue
         raw = rng.uniform(size=m)
         raw /= raw.sum()
         # Affine floor keeps every weight >= the floor after normalisation.
         weights = SEP_FAMILY_WEIGHT_FLOOR + (1.0 - m * SEP_FAMILY_WEIGHT_FLOOR) * raw
-        mat = np.zeros((4 * m, 4 * m), dtype=complex)
-        for i, (w, b) in enumerate(zip(weights, blocks)):
-            mat[4 * i : 4 * i + 4, 4 * i : 4 * i + 4] = w * b
-        return TripartiteState(DensityMatrix((m, 2, 2), mat), (0,), (1,), (2,))
+        mat = np.zeros((m, 4, m, 4), dtype=complex)
+        mat[np.arange(m), :, np.arange(m), :] = weights[:, None, None] * blocks
+        rho = DensityMatrix((m, 2, 2), mat.reshape(4 * m, 4 * m))
+        return TripartiteState(rho, (0,), (1,), (2,))
     raise GenerationError(
         f"no rank-{m} family found within {_RETRY_CAP} attempts from seed {seed}"
     )
@@ -143,9 +159,9 @@ def robust_vanishing_family(p: float) -> TripartiteState:
     across AB:C for every p.  Below a noise threshold (close to 0.317)
     the hashing witness across A:BC stays positive, which pins the
     classifier's VANISHING verdict on an open neighbourhood of p.
+    Raises ``ValueError`` unless p is a real number in [0, 1].
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
+    _check_unit("p", p)
     bell = phi_plus().amplitudes
     vec = np.kron(bell, np.array([1.0, 0.0]))
     mat = (1.0 - p) * np.outer(vec, vec.conj()) + p * np.eye(8) / 8.0
@@ -153,9 +169,9 @@ def robust_vanishing_family(p: float) -> TripartiteState:
 
 
 def perturb(state: TripartiteState, direction: DensityMatrix, eps: float) -> TripartiteState:
-    """Convex mixture (1 - eps) * state + eps * direction, same party layout."""
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"eps must lie in [0, 1], got {eps}")
+    """Convex mixture (1 - eps) * state + eps * direction, same party layout,
+    for a real number eps in [0, 1] (else ``ValueError``)."""
+    _check_unit("eps", eps)
     if direction.dims != state.dims:
         raise ValueError(
             f"direction dims {direction.dims} do not match state dims {state.dims}"

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -31,12 +32,13 @@ FORMAT_VERSION = 1
 StateLike = DensityMatrix | PureState | TripartiteState
 
 
-def _pairs(values: np.ndarray) -> list[list[float]]:
-    return [[float(v.real), float(v.imag)] for v in values]
-
-
 def dumps_state(state: StateLike) -> str:
-    """Canonical JSON text for a state, trailing newline included."""
+    """Canonical JSON text for a state, trailing newline included.
+
+    The text is that of ``json.dumps(payload, indent=2)``, but the pair list
+    is written in one pass over the entries' reprs, which are what json's
+    encoder writes for finite floats.
+    """
     if not isinstance(state, (DensityMatrix, PureState, TripartiteState)):
         raise ValueError(f"cannot serialise object of type {type(state).__name__}")
     payload: dict = {"format_version": FORMAT_VERSION, "dims": list(state.dims)}
@@ -48,10 +50,15 @@ def dumps_state(state: StateLike) -> str:
         }
         state = state.state
     if isinstance(state, PureState):
-        payload["amplitudes"] = _pairs(state.amplitudes)
+        key, values = "amplitudes", state.amplitudes
     else:
-        payload["matrix"] = _pairs(state.data.reshape(-1))
-    return json.dumps(payload, indent=2) + "\n"
+        key, values = "matrix", state.data
+    payload[key] = "@pairs"  # a placeholder for the pair list's text
+    floats = np.ascontiguousarray(values).view(float).ravel().tolist()
+    entries = iter(map(float.__repr__, floats))
+    pairs = "\n    ],\n    [\n      ".join(map(",\n      ".join, zip(entries, entries)))
+    text = json.dumps(payload, indent=2).replace('"@pairs"', f"[\n    [\n      {pairs}\n    ]\n  ]")
+    return text + "\n"
 
 
 def save_state(state: StateLike, path) -> None:
@@ -63,11 +70,21 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(f"malformed state file: {message}")
 
 
-def _finite(v: int | float) -> bool:
+def _numbers(pairs: list) -> np.ndarray | None:
+    """The pairs as an (n, 2) float array, or None unless every one is a
+    ``[re, im]`` list of finite numbers; one pass over the whole list (json
+    gives exact types, so a bool is neither int nor float)."""
+    if not (
+        set(map(type, pairs)) == {list}
+        and set(map(len, pairs)) == {2}
+        and set(map(type, chain.from_iterable(pairs))) <= {int, float}
+    ):
+        return None
     try:
-        return math.isfinite(v)
+        out = np.array(pairs, dtype=float)
     except OverflowError:  # an integer too large for a float
-        return False
+        return None
+    return out if np.isfinite(out).all() else None
 
 
 def _as_complex_list(raw, expected: int, field: str) -> np.ndarray:
@@ -75,19 +92,15 @@ def _as_complex_list(raw, expected: int, field: str) -> np.ndarray:
     _require(
         len(raw) == expected, f"{field} must have {expected} entries, found {len(raw)}"
     )
-    out = np.empty(expected, dtype=complex)
-    for i, pair in enumerate(raw):
-        _require(
-            isinstance(pair, list)
-            and len(pair) == 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair),
-            f"{field}[{i}] must be a [re, im] pair of numbers",
-        )
-        _require(
-            all(_finite(v) for v in pair), f"{field}[{i}] must be finite"
-        )
-        out[i] = complex(pair[0], pair[1])
-    return out
+    out = _numbers(raw)
+    if out is None:  # name the first bad pair
+        for i, pair in enumerate(raw):
+            _require(
+                isinstance(pair, list) and len(pair) == 2 and set(map(type, pair)) <= {int, float},
+                f"{field}[{i}] must be a [re, im] pair of numbers",
+            )
+            _require(_numbers([pair]) is not None, f"{field}[{i}] must be finite")
+    return out.view(complex).reshape(expected)
 
 
 def loads_state(text: str) -> StateLike:
@@ -101,9 +114,10 @@ def loads_state(text: str) -> StateLike:
     except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise ValueError(f"malformed state file: invalid JSON ({exc})") from exc
     _require(isinstance(payload, dict), "top level must be an object")
+    version = payload.get("format_version")
     _require(
-        payload.get("format_version") == FORMAT_VERSION,
-        f"unsupported format_version {payload.get('format_version')!r}",
+        type(version) is int and version == FORMAT_VERSION,
+        f"unsupported format_version {version!r}",
     )
     dims_raw = payload.get("dims")
     _require(

@@ -1,5 +1,8 @@
 """Shared generators for randomized tests. Everything takes an explicit rng."""
 
+import gc
+import sys
+
 import numpy as np
 
 from pptmerge import Bipartition, DensityMatrix, PureState, TripartiteState
@@ -66,3 +69,27 @@ def random_tripartite(rng, dims=(2, 2, 2), rank=None):
 
 def split_0_rest(n):
     return Bipartition.of((0,), n)
+
+
+def python_calls(fn, *args):
+    """Number of calls that ``fn(*args)`` makes from Python code, to Python
+    and to C functions alike (generator resumptions included), counted with
+    ``sys.setprofile``.  Calls that C code makes on its own are not seen, and
+    the garbage collector is paused, so that its callbacks are not seen
+    either."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        count += event in ("call", "c_call")
+
+    collecting = gc.isenabled()
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+        if collecting:
+            gc.enable()
+    return count

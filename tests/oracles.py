@@ -4,6 +4,9 @@ Deliberately written against plain numpy with no pptmerge imports, so a bug
 in the package cannot hide inside its own oracle.
 """
 
+import json
+import math
+
 import numpy as np
 
 
@@ -199,3 +202,44 @@ def same_torus_sector(matrix, dims, tol=1e-9):
     _, s, vh = np.linalg.svd(rows)
     charges = ind @ vh[int(np.sum(s > tol * max(1.0, s[0]))) :].T
     return np.all(np.abs(charges[:, None, :] - charges[None, :, :]) <= tol, axis=2)
+
+
+def state_file_text(dims, labels, key, values):
+    """A state file's text as json's own indent-2 encoder writes it: the
+    payload with one ``[re, im]`` list per entry of ``values`` (row-major),
+    ``labels`` a dict of index lists or None, and a trailing newline."""
+    payload = {"format_version": 1, "dims": list(dims)}
+    if labels is not None:
+        payload["labels"] = {k: list(v) for k, v in labels.items()}
+    payload[key] = [[float(v.real), float(v.imag)] for v in np.asarray(values).reshape(-1)]
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def state_file_pairs(raw, expected, field):
+    """A state file's pair list as a complex array, checked one pair at a time
+    in index order; raises ``ValueError`` with the reader's message at the
+    first pair that is not a ``[re, im]`` pair of numbers or is not finite."""
+
+    def require(condition, message):
+        if not condition:
+            raise ValueError(f"malformed state file: {message}")
+
+    def finite(v):
+        try:
+            return math.isfinite(v)
+        except OverflowError:  # an integer too large for a float
+            return False
+
+    require(isinstance(raw, list), f"{field} must be a list")
+    require(len(raw) == expected, f"{field} must have {expected} entries, found {len(raw)}")
+    out = np.empty(expected, dtype=complex)
+    for i, pair in enumerate(raw):
+        require(
+            isinstance(pair, list)
+            and len(pair) == 2
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair),
+            f"{field}[{i}] must be a [re, im] pair of numbers",
+        )
+        require(all(finite(v) for v in pair), f"{field}[{i}] must be finite")
+        out[i] = complex(pair[0], pair[1])
+    return out

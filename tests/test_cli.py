@@ -250,6 +250,18 @@ def test_classify_rejects_integer_too_large_for_a_float(tmp_path, capsys):
     assert "error: malformed state file: matrix[0] must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("version", [True, 1.0])
+def test_classify_rejects_a_format_version_that_is_not_the_integer_1(tmp_path, capsys, version):
+    payload = json.loads(_generate(tmp_path, "ghz").read_text())
+    payload["format_version"] = version
+    bad = tmp_path / "version.json"
+    bad.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["classify", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: malformed state file: unsupported format_version {version!r}" in err
+
+
 def test_classify_rejects_deeply_nested_json(tmp_path, capsys):
     bad = tmp_path / "nested.json"
     bad.write_text("[" * 100000)

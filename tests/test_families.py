@@ -1,5 +1,7 @@
 """Named state constructors and their certificates."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ from pptmerge import (
     sep_no_merge_family,
 )
 from pptmerge.families import SEP_FAMILY_BLOCKS, SEP_FAMILY_WEIGHT_FLOOR
-from helpers import random_density
+from helpers import python_calls, random_density
 
 # Noise level where the hashing witness of robust_vanishing_family changes
 # sign, found by bisection to 1e-12 and frozen here.
@@ -130,17 +132,42 @@ def test_sep_no_merge_family_retry_exhaustion(monkeypatch):
 
 
 def test_random_separable_two_qubit():
-    sample = families._random_separable_two_qubit
-    a = sample(np.random.default_rng(42), 4)
-    b = sample(np.random.default_rng(42), 4)
+    sample = families._separable_blocks
+    a = sample(np.random.default_rng(42), 3, 4)
+    b = sample(np.random.default_rng(42), 3, 4)
     np.testing.assert_array_equal(a, b)  # deterministic for one generator state
-    c = sample(np.random.default_rng(43), 4)
+    c = sample(np.random.default_rng(43), 3, 4)
     assert not np.array_equal(a, c)
+    # each block draws all it needs before the next one starts
+    np.testing.assert_array_equal(sample(np.random.default_rng(42), 1, 4)[0], a[0])
     for seed in range(20):
-        rho = DensityMatrix((2, 2), sample(np.random.default_rng(seed), 4))
-        assert is_ppt(rho, Bipartition((0,), (1,)), tol=1e-10)
-        assert is_ppt(rho, Bipartition((1,), (0,)), tol=1e-10)
-    assert DensityMatrix((2, 2), sample(np.random.default_rng(7), 1)).is_pure()
+        for blk in sample(np.random.default_rng(seed), 2, 4):
+            rho = DensityMatrix((2, 2), blk)
+            assert is_ppt(rho, Bipartition((0,), (1,)), tol=1e-10)
+            assert is_ppt(rho, Bipartition((1,), (0,)), tol=1e-10)
+    assert DensityMatrix((2, 2), sample(np.random.default_rng(7), 1, 1)[0]).is_pure()
+
+
+# SHA-256 of sep_no_merge_family(seed).state.data as built one block, one ket
+# and one term at a time (numpy 2.4 with OpenBLAS, x86-64).  The seed
+# contract covers the bits: the same draws in the same order, the same
+# operations on them.
+_FAMILY_SHA256 = {
+    0: "a1bd77200a227a5a02e5ccf28737a6f6e01656c5a87d4c243c05c2c10cdd97ac",
+    7: "d4ea56508e0d93eab82a652b367bcd5a146cd17808a34f826173066c554964dc",
+    11: "7bb66ed06b22f825c0484c0c133fff11769f952af899458a2299ffe3dbb04fc8",
+}
+
+
+def test_sep_no_merge_family_bits_are_pinned():
+    for seed, digest in _FAMILY_SHA256.items():
+        assert hashlib.sha256(sep_no_merge_family(seed).state.data.tobytes()).hexdigest() == digest
+
+
+def test_sep_no_merge_family_builds_its_blocks_in_one_pass():
+    # The block-by-block builder made 6,454 Python-level calls for one family.
+    sep_no_merge_family(0)
+    assert python_calls(sep_no_merge_family, 0) <= 1000
 
 
 def test_robust_vanishing_family_invariants():
@@ -155,6 +182,20 @@ def test_robust_vanishing_family_invariants():
         robust_vanishing_family(-0.1)
     with pytest.raises(ValueError):
         robust_vanishing_family(1.1)
+
+
+def test_noise_levels_must_be_real_numbers_in_the_unit_interval():
+    # True ran as p = 1, and a string or None raised TypeError from <=
+    t = robust_vanishing_family(0.1)
+    direction = random_density(np.random.default_rng(3), (2, 2, 2))
+    for bad in (True, False, np.True_, "0.1", None, float("nan"), 1 + 0j):
+        with pytest.raises(ValueError, match=r"p must lie in \[0, 1\]"):
+            robust_vanishing_family(bad)
+        with pytest.raises(ValueError, match=r"eps must lie in \[0, 1\]"):
+            perturb(t, direction, bad)
+    for good in (0, 1, 0.5, np.float64(0.25)):
+        robust_vanishing_family(good)
+        perturb(t, direction, good)
 
 
 def test_robust_vanishing_family_ppt_for_all_noise_levels():

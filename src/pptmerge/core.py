@@ -55,8 +55,12 @@ def _dag(M: np.ndarray) -> np.ndarray:
 
 
 def _herm(M: np.ndarray) -> np.ndarray:
-    """(M + M^dag) / 2, with no check of how far M is from Hermitian."""
-    return 0.5 * (M + _dag(M))
+    """(M + M^dag) / 2, with no check of how far M is from Hermitian.  The
+    real and imaginary parts are halved as reals: a complex product by 0.5
+    would add ``0 * Im`` to each real part and turn a -0.0 into +0.0."""
+    out = M + _dag(M)
+    out.view(float)[...] *= 0.5
+    return out
 
 
 def _unit_trace_hermitian(M: np.ndarray) -> np.ndarray:
@@ -343,11 +347,17 @@ def _check_cut(cut: Bipartition, n: int) -> None:
 _DEFAULT_TOL = 1e-9
 
 
-def _check_tol(tol: float) -> None:
-    """Reject a tolerance that is not a real number, or is a bool, negative,
-    infinite or NaN."""
-    if not isinstance(tol, numbers.Real) or isinstance(tol, bool) or not 0.0 <= tol < math.inf:
-        raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
+def _check_tol(tol: float, positive: bool = False) -> None:
+    """Reject a tolerance that is not a real number, or is a bool, negative
+    (or zero, if ``positive``), infinite or NaN."""
+    if (
+        not isinstance(tol, numbers.Real)
+        or isinstance(tol, bool)
+        or not (0.0 < tol if positive else 0.0 <= tol)
+        or not tol < math.inf
+    ):
+        sign = "positive" if positive else "non-negative"
+        raise ValueError(f"tol must be finite and {sign}, got {tol!r}")
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,7 @@ from .core import (
     PureState,
     SizeLimitError,
     _check_cut,
+    _check_tol,
     _dag,
     _density_with_spectrum,
     _herm,
@@ -93,9 +94,7 @@ class PptOptConfig:
             or self.max_iters < 1
         ):
             raise ValueError(f"max_iters must be an integer of at least 1, got {self.max_iters!r}")
-        tol = self.tol
-        if not isinstance(tol, numbers.Real) or isinstance(tol, bool) or not 0.0 < tol < math.inf:
-            raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
+        _check_tol(self.tol, positive=True)
 
 
 @dataclass
@@ -128,8 +127,12 @@ class GeoDistResult:
 
     For pure inputs both ends are ``1 - s_1``, with s_1 the largest Schmidt
     coefficient across the cut: the closed-form overlap is exact, so both
-    ends are certified up to rounding.  For mixed inputs they come from the
-    trace-distance optimum via 1 - F <= T <= sqrt(1 - F^2).
+    ends are certified up to rounding.  For mixed inputs both are computed
+    from ``T = detail.value`` via 1 - F <= T <= sqrt(1 - F^2):
+    ``high = T`` and ``low = 1 - sqrt(1 - T^2)``.  T is the upper end of
+    the certified interval ``[value - gap, value]`` for the least trace
+    distance, so ``high`` is certified, but ``low`` only up to about
+    ``T gap / sqrt(1 - T^2)``.
     """
 
     low: float
@@ -138,8 +141,9 @@ class GeoDistResult:
 
 
 class _Coords:
-    """Orthonormal real coordinates of D x D Hermitian matrices that vanish
-    off a given set of entries.
+    """The kernel's program: orthonormal real coordinates of D x D Hermitian
+    matrices that vanish off a given set of entries, and the linear map, its
+    adjoint and the Schur matrix of a layout of blocks over groups of them.
 
     Coordinate j < D is the diagonal matrix ``diag(W[:, j])``, with W
     orthogonal and ``W[:, 0] = +-1/sqrt(D)``, so coordinate 0 alone carries
@@ -150,6 +154,16 @@ class _Coords:
     sigma with its complex conjugate keeps it feasible and does not worsen
     the objective; its coordinates and arithmetic are then real.  Matrices
     stay D x D whatever the entries kept.
+
+    Block k of the layout sums the matrices of the groups set in
+    ``blocks[k]``, partially transposed across ``transpose`` where
+    ``transposed[k]`` is set.  The variables v are every group's n
+    coordinates but the first, taken as 0.  The constructor builds the index
+    maps, with each block's partial transpose folded in, the group pairs
+    that the Schur matrix sums over, and every array the methods work in, so
+    that a solve allocates nothing large after it: freed large temporaries
+    let malloc trim the heap, and each call then faulted it back in (2x the
+    time per call at D = 9).
     """
 
     def __init__(
@@ -158,6 +172,8 @@ class _Coords:
         transpose: Sequence[int],
         real: bool,
         upper: tuple[np.ndarray, np.ndarray],
+        blocks: np.ndarray,
+        transposed: Sequence[bool],
     ):
         D = math.prod(dims)
         self.D, self.h = D, upper[0].size
@@ -173,138 +189,141 @@ class _Coords:
         i, j = upper
         flat = np.concatenate([np.arange(D) * (D + 1), i * D + j, j * D + i])
         pt = _pt_array(np.arange(D * D).reshape(D, D), dims, transpose).reshape(-1)
-        self.flat = flat, pt[flat]
-        self.entries = tuple(np.divmod(f, D) for f in self.flat)
+        flat = flat, pt[flat]
+        self.entries = tuple(np.divmod(f, D) for f in flat)
+        # each block's entries in the flattened stack of blocks, and the
+        # group pairs (g, g2, on) with the blocks ``on`` in both groups
+        nb, groups = blocks.shape
+        self.transposed = [int(t) for t in transposed]
+        self.weight = blocks.astype(float)
+        self.pos = np.arange(nb)[:, None] * (D * D) + np.stack([flat[t] for t in self.transposed])
+        self.pairs = [
+            (g, g2, on)
+            for g in range(groups)
+            for g2 in range(g, groups)
+            if (on := [k for k in range(nb) if blocks[k, g] and blocks[k, g2]])
+        ]
         # the Schur rows of each chunk: the diagonal (first chunk only), then
         # t0:t1 of the entries above and of those below it; a row gathers
         # one product per entry, D + 2h of them
-        h = self.h
-        step = max(1, _SCHUR_CHUNK // flat.size)
+        h, size = self.h, flat[0].size
+        step = max(1, _SCHUR_CHUNK // size)
         self.chunks = []
         for t0 in range(0, max(h, 1), step):
             t1, lead = min(h, t0 + step), D if t0 == 0 else 0
             rows = np.r_[0:lead, D + t0 : D + t1, D + h + t0 : D + h + t1]
-            self.chunks.append((t0, t1, lead, rows))
-        # work arrays for the largest chunk, so that schur allocates nothing
-        # large: freed large temporaries let malloc trim the heap, and each
-        # call then faulted it back in (2x the time per call at D = 9).  They
-        # hold a block's gathered factors; the caller of schur makes one slab
-        # of ``slab`` entries for each group pair's sum.
-        self.slab = (D + 2 * min(step, h)) * flat.size
-        self.work = np.empty((2, self.slab), self.dtype)
+            self.chunks.append((lead > 0, rows))
+        # two slabs for a block's gathered factors and one per group pair
+        # for its sum, sized for the largest chunk; then the Schur matrix
+        self.work = np.empty((2 + len(self.pairs), (D + 2 * min(step, h)) * size), self.dtype)
+        self.M = np.zeros((groups * self.n, groups * self.n))
 
-    def maps(self, blocks: np.ndarray, transposed: np.ndarray) -> tuple[Callable, Callable]:
-        """The kernel's linear map L and its adjoint L* for a block layout.
+    def lin(self, v: np.ndarray) -> np.ndarray:
+        """L(v), the stack (nb, D, D) of the layout's blocks: a zero-fill, two
+        products with the blocks' 0/1 weights and one scatter."""
+        D, h, s = self.D, self.h, 2**-0.5
+        V = np.concatenate([[0.0], v]).reshape(-1, self.n)
+        off = V[:, D : D + h] * s
+        if self.imag:
+            off = off + 1j * s * V[:, D + h :]
+        off = self.weight @ off
+        Y = np.zeros(len(self.weight) * D * D, self.dtype)
+        Y[self.pos] = np.concatenate([self.weight @ (V[:, :D] @ self.W.T), off, off.conj()], axis=1)
+        return Y.reshape(-1, D, D)
 
-        ``L(v)`` is the stack (nb, D, D) whose block k sums the matrices of
-        the groups set in ``blocks[k]``, partially transposed where
-        ``transposed[k]`` is set; v holds every group's n coordinates but
-        the first, taken as 0.  ``L*(Y)`` is ``Re Tr(B Y_k)`` summed over
-        the same blocks, for each such coordinate B and Hermitian stack Y.
-        Both are index maps into the stack, with each block's partial
-        transpose folded in: L is a zero-fill, two products with the 0/1
-        weights and three scatters, and L* two gathers and two products.
+    def adj(self, Y: np.ndarray) -> np.ndarray:
+        """L*(Y), ``Re Tr(B Y_k)`` summed over the blocks k for each
+        coordinate B of v, for a Hermitian stack Y (nb, D, D).
+
+        It reads each block's diagonal and the entries above it, and takes
+        the ones below as their conjugates: the kernel's Y is Hermitian only
+        up to rounding, and its own lower entries would move the solve by
+        that rounding.  So ``Re Tr(B Y_k)`` is a real inner product, folded
+        from the real parts of the diagonal and the real and imaginary parts
+        of the entries above, each twice: once for the entry and once for
+        its mirror image.  The product with W stays real: a complex one
+        rounds differently at some D (17-20 among others).
         """
-        D, h, n, s = self.D, self.h, self.n, 2**-0.5
-        nb, groups = blocks.shape
-        weight = blocks.astype(float)
-        pos = np.arange(nb)[:, None] * (D * D) + np.stack([self.flat[int(t)] for t in transposed])
-        diag, up, low = np.split(pos, [D, D + h], axis=1)
+        D, h = self.D, self.h
+        G = Y.reshape(-1)[self.pos[:, : D + h]]
+        up = [G[:, D:].real, G[:, D:].imag] if self.imag else [G[:, D:]]
+        E = np.concatenate([G[:, :D].real, *up, *up], axis=1)
+        return (self.weight.T @ self.fold(E)).reshape(-1)[1:]
 
-        def lin(v):
-            V = np.concatenate([[0.0], v]).reshape(groups, n)
-            off = V[:, D : D + h] * s
-            if self.imag:
-                off = off + 1j * s * V[:, D + h :]
-            off = weight @ off
-            Y = np.zeros(nb * D * D, self.dtype)
-            Y[diag] = weight @ (V[:, :D] @ self.W.T)
-            Y[up] = off
-            Y[low] = off.conj()
-            return Y.reshape(nb, D, D)
+    def fold(self, A: np.ndarray, diagonal: bool = True, conj: bool = False) -> np.ndarray:
+        """Turn the entries along the last axis of A, in place, into the
+        coordinates that hold them, and return those as a view of A.
 
-        def adj(Y):
-            Y = Y.reshape(-1)
-            off = Y[up] * 2**0.5
-            parts = [Y[diag].real @ self.W, off.real] + ([off.imag] if self.imag else [])
-            return (weight.T @ np.concatenate(parts, axis=1)).reshape(-1)[1:]
+        The entries are the diagonal (if ``diagonal``), then m above it and
+        their m mirror images below it.  Coordinate B gets
+        ``sum_e B[e] A[e]`` over the entries e, or ``sum_e conj(B[e]) A[e]``
+        if ``conj``.  The diagonal coordinates come first, then m of
+        sqrt(2) Re and, for a complex A, m of sqrt(2) Im.
+        """
+        D, s = self.D, 2**-0.5
+        lead = D if diagonal else 0
+        m = (A.shape[-1] - lead) // 2
+        above, below = A[..., lead : lead + m], A[..., lead + m :]
+        above += below
+        imag = np.iscomplexobj(A)
+        if imag:
+            below *= -2.0
+            below += above
+            below *= (-1j if conj else 1j) * s
+        above *= s
+        if diagonal:
+            A[..., :D] = A[..., :D] @ self.W
+        return A[..., : lead + (2 if imag else 1) * m]
 
-        return lin, adj
-
-    def schur(self, terms, pairs, sums: np.ndarray, out: np.ndarray) -> None:
-        """Fill block (g, h) of ``out``, whose blocks are n x n, with
-        ``Re sum Tr(B_i X B_j Y)`` over the basis B, summed over the terms
-        (X, Y, transposed) indexed by ``on``, for each group pair
-        ``(g, h, on)`` of ``pairs``, and block (h, g) with its transpose;
-        B_i^Gamma replaces B_i where transposed.  Every pair lists at least
-        one term, and ``sums``, of shape ``(len(pairs), slab)``, is the work
-        space for their sums.
+    def schur(self, X: np.ndarray, Sinv: np.ndarray) -> np.ndarray:
+        """The Schur matrix ``M_ij = Re sum_k Tr(B_i X_k B_j Sinv_k)``, summed
+        over the blocks k, for the matrices B_i of every group's coordinates
+        (B_i^Gamma in transposed blocks), less its first row and column: a
+        view of a buffer that the next call overwrites.
 
         ``Tr(E_ba X E_dc Y) = X_ac Y_db``, and reading every entry (a, b) as
         (b, a) leaves the real part over a Hermitian basis unchanged; so a
-        term is a Kronecker product read at the entries in the order
-        diagonal, above, below, and the change to coordinates is sums and
-        differences of slices.  A row of the gather holds one product per
+        block's term is a Kronecker product read at the entries, and
+        :meth:`fold` turns its columns into coordinates, then its rows with
+        conjugated coefficients.  A row of the gather holds one product per
         kept entry, D + 2h of them.  Each term is gathered once into a work
-        slab and added in place to every pair that lists it, whose sum
-        starts at zero in each chunk (4 gathers for the trace-distance
-        program, where one pass per pair took 6), and the change to
-        coordinates runs once over the stack of pair sums.  Rows go in
-        chunks of about ``_SCHUR_CHUNK`` entries, one chunk for every
-        D <= 16, through the work arrays made in ``__init__`` and ``sums``,
-        made once per solve: a whole D^2 x D^2 product near
-        ``OPT_SCHUR_CAP`` would add more to the peak memory than the Schur
-        matrix itself.
+        slab and added in place to the sum of every group pair whose groups
+        both hold its block, which starts at zero in each chunk, and the
+        folds run once over the stack of pair sums.  Rows go in chunks of
+        about ``_SCHUR_CHUNK`` entries, one chunk for every D <= 16: a whole
+        D^2 x D^2 product near ``OPT_SCHUR_CAP`` would add more to the peak
+        memory than the Schur matrix itself.
         """
-        D, h, n, s, imag = self.D, self.h, self.n, 2**-0.5, self.imag
+        D, h, n = self.D, self.h, self.n
 
         def block(g, g2):
-            return out[g * n : (g + 1) * n, g2 * n : (g2 + 1) * n]
+            return self.M[g * n : (g + 1) * n, g2 * n : (g2 + 1) * n]
 
-        for t0, t1, lead, rows in self.chunks:
+        for diagonal, rows in self.chunks:
             size = rows.size * (D + 2 * h)
             term = self.work[0, :size].reshape(rows.size, -1)
             Yc = self.work[1, :size].reshape(-1, rows.size)
-            K = sums[:, :size].reshape(len(pairs), rows.size, -1)
+            K = self.work[2:, :size].reshape(len(self.pairs), rows.size, -1)
             K[:] = 0.0
-            for k, (X, Y, transposed) in enumerate(terms):
-                (r, c) = self.entries[transposed]
-                np.take(X[r[rows]], r, axis=1, out=term, mode="clip")
-                np.take(Y[c], c[rows], axis=1, out=Yc, mode="clip")
+            for k, t in enumerate(self.transposed):
+                (r, c) = self.entries[t]
+                np.take(X[k][r[rows]], r, axis=1, out=term, mode="clip")
+                np.take(Sinv[k][c], c[rows], axis=1, out=Yc, mode="clip")
                 np.multiply(term, Yc.T, out=term)
-                for p, (_, _, on) in enumerate(pairs):
+                for p, (_, _, on) in enumerate(self.pairs):
                     if k in on:
                         K[p] += term
-            above, below = K[:, :, D : D + h], K[:, :, D + h :]
-            above += below
-            if imag:
-                below *= -2.0
-                below += above
-                below *= 1j * s
-            above *= s
-            K[:, :, :D] = K[:, :, :D] @ self.W
-            K = K[:, :, :n]
-            up, low = K[:, lead : lead + t1 - t0], K[:, lead + t1 - t0 :]
-            up += low
-            if imag:
-                low *= -2.0
-                low += up
-            diag = (self.W.T @ K[:, :D]).real if lead else None
-            for p, (g, g2, _) in enumerate(pairs):
-                np.multiply(up[p].real, s, out=block(g, g2)[D + t0 : D + t1])
-                if imag:
-                    np.multiply(low[p].imag, s, out=block(g, g2)[D + h + t0 : D + h + t1])
-                if lead:
-                    block(g, g2)[:D] = diag[p]
-        for g, g2, _ in pairs:
+            K = self.fold(self.fold(K).swapaxes(1, 2), diagonal, conj=True).real
+            for p, (g, g2, _) in enumerate(self.pairs):
+                block(g, g2)[rows[: K.shape[2]]] = K[p].T
+        for g, g2, _ in self.pairs:
             if g != g2:
                 block(g2, g)[:] = block(g, g2).T
+        return self.M[1:, 1:]
 
 
 def _interior_point(
     coords: _Coords,
-    blocks: np.ndarray,
-    transposed: np.ndarray,
     C: np.ndarray,
     b: np.ndarray,
     z: np.ndarray,
@@ -314,12 +333,11 @@ def _interior_point(
 ) -> tuple[np.ndarray, float, int]:
     """Maximise ``b.z`` subject to ``S_k = C_k + L_k(z) >= 0`` for every block k.
 
-    The variables are groups of ``coords.n`` coordinates (:class:`_Coords`)
-    less the first, the trace of group 0, which is sigma's and held fixed in
-    ``C``.  Block k sums the matrices of the groups set in ``blocks[k]``,
-    partially transposed where ``transposed[k]`` is set.  ``z`` must be
-    strictly feasible.  The primal is ``min <C, X>`` over ``X >= 0`` with
-    ``L^*(X) = -b``.
+    ``coords`` owns the program (:class:`_Coords`): the block layout, L,
+    L^* and the Schur matrix.  The variables are its groups of ``coords.n``
+    coordinates less the first, the trace of group 0, which is sigma's and
+    held fixed in ``C``.  ``z`` must be strictly feasible.  The primal is
+    ``min <C, X>`` over ``X >= 0`` with ``L^*(X) = -b``.
 
     Each iteration is one Mehrotra predictor-corrector step along the HKM
     direction, with Schur matrix ``M_ij = Re Tr(L_i X L_j S^-1)`` summed
@@ -339,10 +357,6 @@ def _interior_point(
     of I).  It reuses the Cholesky factor of S that the first iteration
     needs anyway, and X, a multiple of the Gram matrix of the inverse
     factor, is positive definite, so ``bound(X)`` holds from the start.
-    Over the 220 geodist-mixed benchmark inputs of seeds 1-10 and 7919 it
-    took 1,583 iterations, against 1,721 from ``X = I``.  The Schur matrix
-    is assembled in one pass over the blocks (:meth:`_Coords.schur`), and
-    L and L^* are index maps built once per solve (:meth:`_Coords.maps`).
 
     An iteration makes two LU solves, one batched Cholesky factorisation
     and inverse of the blocks of S and X (whose inverse factors, stacked
@@ -369,22 +383,12 @@ def _interior_point(
     Returns the best dual point's blocks, the best bound and the
     iterations taken, the failed step included.
     """
-    D, n_c = coords.D, coords.n
-    nb, groups = blocks.shape
-    n = nb * D
-    pairs = [
-        (g, h, on)
-        for g in range(groups)
-        for h in range(g, groups)
-        if (on := [k for k in range(nb) if blocks[k, g] and blocks[k, h]])
-    ]
-    sums = np.empty((len(pairs), coords.slab), coords.dtype)
-    My = np.zeros((groups * n_c, groups * n_c))
-    lin, adj = coords.maps(blocks, transposed)
+    nb = len(C)
+    n = nb * coords.D
 
     # centred start X = mu S^-1; with S = L L^dag and Rs = L^-1,
     # X^-1 = Rx^dag Rx for Rx = L^dag / sqrt(mu); R stacks Rs over Rx
-    S = C + lin(z)
+    S = C + coords.lin(z)
     L = np.linalg.cholesky(S)
     Rs = np.linalg.inv(L)
     mu = float(np.sum(np.abs(S) ** 2)) / n
@@ -405,8 +409,7 @@ def _interior_point(
 
         Rs = R[:nb]
         Sinv = _dag(Rs) @ Rs
-        coords.schur([(X[k], Sinv[k], int(transposed[k])) for k in range(nb)], pairs, sums, My)
-        M = My[1:, 1:]
+        M = coords.schur(X, Sinv)
         mu = float(np.sum(X * S.conj()).real) / n
 
         def boundary(dX, dS):
@@ -416,7 +419,7 @@ def _interior_point(
 
         # predictor: the affine-scaling direction
         dz = np.linalg.solve(M, b)
-        dS = lin(dz)
+        dS = coords.lin(dz)
         dX = -X - _herm(X @ dS @ Sinv)
         ap, ad = boundary(dX, dS)
         score(S + min(1.0, ad) * dS)
@@ -426,13 +429,13 @@ def _interior_point(
         centring = (mu_aff / mu) ** 3 * mu
         # corrector: centring plus the second-order term of the predictor
         second = _herm(dX @ dS @ Sinv)
-        dz = np.linalg.solve(M, b + adj(centring * Sinv - second))
-        dS = lin(dz)
+        dz = np.linalg.solve(M, b + coords.adj(centring * Sinv - second))
+        dS = coords.lin(dz)
         dX = centring * Sinv - X - _herm(X @ dS @ Sinv) - second
         ap, ad = (min(1.0, gamma * a) for a in boundary(dX, dS))
         X = X + ap * dX
         z = z + ad * dz
-        S = C + lin(z)
+        S = C + coords.lin(z)
         # inverse Cholesky factors, S^-1 = Rs^dag Rs; they also prove S, X > 0,
         # and fail once the gap has reached its rounding floor
         try:
@@ -600,7 +603,8 @@ def min_trace_distance_ppt(
         )
     i, j = np.triu_indices(D, 1)
     inside = sector[i] == sector[j]
-    coords = _Coords(dims, cut.left, real, (i[inside], j[inside]))
+    blocks = np.array([[1, 1], [0, 1], [1, 0], [1, 0]], bool)
+    coords = _Coords(dims, cut.left, real, (i[inside], j[inside]), blocks, (0, 0, 0, 1))
     data = rho.data.real if real else rho.data
     eye = np.eye(D, dtype=coords.dtype)
 
@@ -618,10 +622,8 @@ def min_trace_distance_ppt(
     ones[:D] = np.eye(D).diagonal() @ coords.W
     b = np.concatenate([np.zeros(coords.n - 1), -ones])
     z = np.concatenate([np.zeros(coords.n - 1), ones])  # sigma = I/D, P = I
-    blocks = np.array([[1, 1], [0, 1], [1, 0], [1, 0]], bool)
     S, upper, iterations = _interior_point(
-        coords, blocks, np.array([False, False, False, True]), C, b, z,
-        lambda S: -tdist(S[2]), bound, config,
+        coords, C, b, z, lambda S: -tdist(S[2]), bound, config
     )
     return _result(
         dims,

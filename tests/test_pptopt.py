@@ -100,7 +100,8 @@ def test_schur_matrix_matches_its_definition(monkeypatch, real):
     transposed = (0, 0, 0, 1)
     g = rng.standard_normal((8, 6, 6)) + (0 if real else 1j) * rng.standard_normal((8, 6, 6))
     X, Y = np.split(g @ g.conj().transpose(0, 2, 1), 2)
-    # blocks [[1, 1], [0, 1], [1, 0], [1, 0]]: the blocks in both groups of each pair
+    blocks = np.array([[1, 1], [0, 1], [1, 0], [1, 0]], bool)
+    # the blocks in both groups of each pair
     pairs = [(0, 0, [0, 2, 3]), (0, 1, [0]), (1, 1, [0, 1])]
     i, j = np.triu_indices(6, 1)
     default = pptopt._SCHUR_CHUNK
@@ -108,18 +109,21 @@ def test_schur_matrix_matches_its_definition(monkeypatch, real):
         ((0,) * 6, (1, 5, 15)), ((0, 0, 1, 1, 0, 2), (1, 1, 4)), (range(6), (1, 1, 1))
     ):
         inside = np.array(sector)[i] == np.array(sector)[j]
+        upper = (i[inside], j[inside])
         for chunk, count in zip((default, 2**7, 1), counts):
             monkeypatch.setattr(pptopt, "_SCHUR_CHUNK", chunk)
-            coords = _Coords(dims, (0,), real, (i[inside], j[inside]))
+            coords = _Coords(dims, (0,), real, upper, blocks, transposed)
             assert len(coords.chunks) == count
             n = coords.n
             # the basis and its partial transpose: L of the unit vectors of
-            # group 1, which two blocks hold, the second transposed
-            lin, _ = coords.maps(np.array([[0, 1], [0, 1]], bool), np.array([False, True]))
+            # group 1 in a layout where two blocks hold it, the second transposed
+            lin = _Coords(dims, (0,), real, upper, np.array([[0, 1], [0, 1]], bool), (0, 1)).lin
             bases = np.stack([lin(e) for e in np.eye(2 * n - 1)[n - 1 :]], axis=1)
-            got = np.full((2 * n, 2 * n), np.nan)
-            sums = np.empty((len(pairs), coords.slab), coords.dtype)
-            coords.schur([(X[k], Y[k], transposed[k]) for k in range(4)], pairs, sums, got)
+            # schur returns the matrix less its first row and column, a view
+            # of the whole one; each call writes every entry of it again
+            coords.schur(X, Y).base.fill(np.nan)
+            got = coords.schur(X, Y).base
+            assert got.shape == (2 * n, 2 * n)
             for a, b, on in pairs:
                 expected = sum(
                     np.einsum("iab,bc,jcd,da->ij", bases[transposed[k]], X[k],

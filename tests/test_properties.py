@@ -38,7 +38,7 @@ from pptmerge import (
     trace_distance,
     von_neumann_entropy,
 )
-from pptmerge.core import _pt_array, _sectors
+from pptmerge.core import _herm, _pt_array, _sectors
 from pptmerge.pptopt import _Coords
 from helpers import haar_unitary, random_density, random_separable
 from oracles import partial_transpose_einsum, report_numbers, same_torus_sector, schmidt_overlap
@@ -218,7 +218,9 @@ def test_kernel_map_matches_its_definition_and_its_adjoint(
     # L(v)_k sums blocks[k, g] H_g over the groups g, partially transposed
     # where transposed[k], with H_g the matrix of group g's coordinates over
     # the basis of _Coords: diag(W[:, c]), then sqrt(2) Re and sqrt(2) Im of
-    # each kept entry; and <L v, Y> = <v, L* Y> with <A, B> = Re Tr(A B)
+    # each kept entry; and <L v, Y> = <v, L* Y> with <A, B> = Re Tr(A B).
+    # L* reads each block's diagonal and the entries above it (in the
+    # partially transposed frame where transposed[k]), bit for bit
     dims, left = layout
     transposed = data.draw(
         st.lists(st.booleans(), min_size=len(blocks), max_size=len(blocks)), label="transposed"
@@ -229,7 +231,8 @@ def test_kernel_map_matches_its_definition_and_its_adjoint(
     sector = {"all": np.zeros(D), "sectors": rng.integers(0, 3, D), "none": np.arange(D)}[kept]
     inside = sector[i] == sector[j]
     i, j = i[inside], j[inside]
-    coords = _Coords(dims, left, real, (i, j))
+    blocks = np.array(blocks, bool)
+    coords = _Coords(dims, left, real, (i, j), blocks, transposed)
     n, h, s = coords.n, i.size, 2**-0.5
     basis = np.zeros((n, D, D), coords.dtype)
     for c in range(D):
@@ -238,8 +241,7 @@ def test_kernel_map_matches_its_definition_and_its_adjoint(
         basis[D + t, a, b] = basis[D + t, b, a] = s
         if not real:
             basis[D + h + t, a, b], basis[D + h + t, b, a] = 1j * s, -1j * s
-    blocks = np.array(blocks, bool)
-    lin, adj = coords.maps(blocks, np.array(transposed))
+    lin, adj = coords.lin, coords.adj
     v = rng.standard_normal(blocks.shape[1] * n - 1)
     H = np.tensordot(np.concatenate([[0.0], v]).reshape(-1, n), basis, axes=1)
     expected = np.tensordot(blocks.astype(float), H, axes=1)
@@ -252,6 +254,12 @@ def test_kernel_map_matches_its_definition_and_its_adjoint(
     Y = g + g.conj().transpose(0, 2, 1)
     inner = float(np.sum(lin(v).conj() * Y).real)
     assert abs(inner - v @ adj(Y)) <= 1e-12 * (1.0 + abs(inner))
+    # a non-Hermitian g with its lower triangle replaced by the conjugates of
+    # its upper one leaves L* unchanged
+    framed = [_pt_array(a, dims, left) if t else a for a, t in zip(g, transposed)]
+    upper = [np.triu(a) + np.triu(a, 1).conj().T for a in framed]
+    mirrored = np.stack([_pt_array(a, dims, left) if t else a for a, t in zip(upper, transposed)])
+    assert adj(g).tobytes() == adj(mirrored).tobytes()
 
 
 def _sectored_state(dims, charges, real, seed):
@@ -529,6 +537,17 @@ def _eigen_solver_inputs():
     with mock.patch.object(np.linalg, "eigvalsh", recording(np.linalg.eigvalsh)), \
             mock.patch.object(np.linalg, "eigh", recording(np.linalg.eigh)):
         yield inputs
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 4), data=st.data())
+def test_hermitian_part_is_idempotent_bit_for_bit(n, data):
+    # real and imaginary parts of -0.0 keep their signs, so the Hermitian
+    # part of a Hermitian part is itself, bit for bit
+    part = st.sampled_from([0.0, -0.0]) | st.floats(-1e3, 1e3)
+    parts = data.draw(st.lists(part, min_size=2 * n * n, max_size=2 * n * n), label="parts")
+    H = _herm(np.array(parts).view(complex).reshape(n, n))
+    assert _herm(H).tobytes() == H.tobytes()
 
 
 def _bit_hermitian(m):

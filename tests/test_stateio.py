@@ -48,6 +48,15 @@ def test_round_trip_density():
     np.testing.assert_array_equal(back.data, rho.data)
 
 
+def test_round_trip_keeps_signed_zeros():
+    # a -0.0 real part beside a negative imaginary part survives the
+    # Hermitian part that the constructor takes on each load
+    state = DensityMatrix((2,), [[0.5, complex(-0.0, -0.1)], [complex(-0.0, 0.1), 0.5]])
+    text = dumps_state(state)
+    assert "-0.0" in text
+    assert dumps_state(loads_state(text)) == text
+
+
 def test_round_trip_tripartite():
     for state in (
         ghz(),

@@ -156,8 +156,9 @@ def _spectra(state: TripartiteState) -> _Spectra:
         hashing_a_bc=max(s_a - s_abc, s_bc - s_abc),
         log_negativity_ab_c=max(0.0, float(np.log2(np.sum(np.abs(pt))))),
         min_pt_eigenvalue=float(pt.min()),
-        # I(A:C) - I(A:BC), in which S(A) cancels
-        fidelity_lower_bound=float(2.0 ** (0.5 * (s_c - s_ac - s_bc + s_abc))),
+        # I(A:C) - I(A:BC) <= 0, in which S(A) cancels; rounding can lift it
+        # above 0, so the bound is clamped at 1
+        fidelity_lower_bound=min(1.0, float(2.0 ** (0.5 * (s_c - s_ac - s_bc + s_abc)))),
     )
 
 

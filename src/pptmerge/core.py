@@ -96,11 +96,9 @@ def _checked(
     the checked matrix and ``spectrum`` of it, or raises ``ValueError``.
 
     ``spectrum(arr)`` returns the ascending eigenvalues (k, D) of a stack whose
-    first matrix is ``arr``; only its first row is read here.  That row may
-    hold proven bounds instead: a lower bound on the least eigenvalue first
-    and one on the largest last, which is all the clamp decision reads.  A
-    matrix that needs the clamp is rebuilt from its ``eigh`` with negative
-    eigenvalues set to zero, renormalised, and measured by ``spectrum`` again.
+    first matrix is ``arr``; only its first row is read here.  A matrix that
+    needs the clamp is rebuilt from its ``eigh`` with negative eigenvalues
+    set to zero, renormalised, and measured by ``spectrum`` again.
     """
     arr = _unit_trace_hermitian(data)
     w = spectrum(arr)
@@ -293,8 +291,16 @@ class PureState:
     def dim(self) -> int:
         return self.amplitudes.shape[0]
 
+    @property
+    def data(self) -> np.ndarray:
+        """The projector ``|psi><psi|``, a new read-only D x D array that is
+        Hermitian bit for bit."""
+        arr = _herm(np.outer(self.amplitudes, self.amplitudes.conj()))
+        arr.flags.writeable = False
+        return arr
+
     def to_density(self) -> DensityMatrix:
-        return DensityMatrix(self.dims, np.outer(self.amplitudes, self.amplitudes.conj()))
+        return DensityMatrix(self.dims, self.data)
 
 
 def _partition(blocks, n: int) -> tuple[tuple[int, ...], ...]:

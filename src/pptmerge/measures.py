@@ -87,11 +87,12 @@ def conditional_entropy(state: TripartiteState) -> float:
 
 
 def mutual_information(rho: DensityMatrix, cut: Bipartition) -> float:
-    """S(left) + S(right) - S(whole) across ``cut``, in bits."""
+    """S(left) + S(right) - S(whole) across ``cut``, in bits; never negative,
+    so rounding below 0 is clamped to 0."""
     _check_cut(cut, len(rho.dims))
     s_left = _marginal_entropy(rho, cut.left)
     s_right = _marginal_entropy(rho, cut.right)
-    return s_left + s_right - von_neumann_entropy(rho)
+    return max(0.0, s_left + s_right - von_neumann_entropy(rho))
 
 
 def _rank_factor(matrix: np.ndarray) -> np.ndarray:

@@ -70,11 +70,6 @@ _PREDICTOR_STEP = 0.95
 # Matrix entries per row chunk of the Schur assembly (see _Coords.schur).
 _SCHUR_CHUNK = 2**16
 
-# Proven spectrum of max_overlap_ppt's certificate sigma and of sigma^Gamma,
-# derived in its docstring: least eigenvalues at least -_PSD_BOUND and
-# -_PPT_BOUND, largest at least _TOP_BOUND; u = 2^-53, constants rounded up.
-_PSD_BOUND, _PPT_BOUND, _TOP_BOUND = 2.3095 * 2.0**-53, 8.79 * 2.0**-53, 1.0 - 2.0**-38
-
 
 @dataclass(frozen=True)
 class PptOptConfig:
@@ -106,15 +101,16 @@ class PptOptResult:
     ``converged`` is false.  ``gap`` is the distance from ``value`` to a
     certified bound on the other side, and ``converged`` means
     ``gap <= tol``.  ``residuals`` holds the certificate's trace, PSD and
-    PPT violations, from the spectrum that validated the certificate as a
-    :class:`DensityMatrix`.  The trace residual is measured.  The PSD and
-    PPT ones are proven rounding bounds for :func:`max_overlap_ppt`, and
-    the least eigenvalues of one batched eigendecomposition for
-    :func:`min_trace_distance_ppt`.
+    PPT violations.  The trace residual is measured.  For
+    :func:`max_overlap_ppt` the certificate is a product vector
+    (:class:`PureState`), PSD and PPT by construction, so the other two are
+    0.  For :func:`min_trace_distance_ppt` it is a :class:`DensityMatrix`,
+    and they are the least eigenvalues of the one batched
+    eigendecomposition that validated it.
     """
 
     value: float
-    certificate: DensityMatrix
+    certificate: DensityMatrix | PureState
     iterations: int
     converged: bool
     residuals: dict[str, float]
@@ -445,29 +441,6 @@ def _interior_point(
     return best_S, best_bound, it
 
 
-def _result(
-    dims: tuple[int, ...],
-    matrix: np.ndarray,
-    spectrum: Callable[[np.ndarray], np.ndarray],
-    score: Callable[[np.ndarray], tuple[float, float]],
-    iterations: int,
-    tol: float,
-) -> PptOptResult:
-    """The result whose certificate is ``DensityMatrix(dims, matrix)``, validated
-    by ``spectrum(sigma)``, the ascending spectra (2, D) of sigma and
-    sigma^Gamma, which also give its residuals; ``score(sigma)`` returns the
-    certificate's value and gap.  A row may be proven rather than measured
-    (see :func:`core._checked`)."""
-    cert, w = _density_with_spectrum(dims, matrix, spectrum)
-    residuals = {
-        "trace": abs(float(np.trace(cert.data).real) - 1.0),
-        "psd": max(0.0, -float(w[0, 0])),
-        "ppt": max(0.0, -float(w[1, 0])),
-    }
-    value, gap = score(cert.data)
-    return PptOptResult(value, cert, iterations, gap <= tol, residuals, gap)
-
-
 def max_overlap_ppt(psi: PureState, cut: Bipartition) -> PptOptResult:
     """Maximise <psi|sigma|psi> over sigma in F(cut), in closed form.
 
@@ -475,65 +448,21 @@ def max_overlap_ppt(psi: PureState, cut: Bipartition) -> PptOptResult:
     across the cut.  The product of the top Schmidt vectors attains it, and
     ``Tr sigma P = Tr sigma^Gamma P^Gamma <= lambda_max(P^Gamma) = s_1^2``
     with ``P = |psi><psi|`` bounds every sigma in F(cut) (E. M. Rains,
-    IEEE TIT 47, 2921 (2001)).  The certificate is that product state and
-    ``value`` its overlap; ``gap`` is the rounding by which ``value`` falls
-    short of s_1^2.  Targets above ``DIMENSION_CAP`` raise
+    IEEE TIT 47, 2921 (2001)).  Targets above ``DIMENSION_CAP`` raise
     :class:`SizeLimitError` before any work.
 
-    The certificate's spectrum is proved, not measured, so a call runs one
-    SVD and O(D^2) work.  With u = 2^-53, for the stored bits of any
-    singular vectors the SVD returns:
-
-    1. ``top`` is t = fl(w r), with w = fl(U[:, 0] x Vh[0]) (permuting moves
-       entries only), n the computed |w| and r one real scale for all
-       entries: 1/n, or fl(1/n) where numpy divides by multiplying.  A
-       complex product has relative error at most sqrt(5) u (R. Brent,
-       C. Percival and P. Zimmermann, Math. Comp. 76, 1469 (2007); 2u with
-       a fused multiply-add, C.-P. Jeannerod, P. Kornerup, N. Louvet and
-       J.-M. Muller, Math. Comp. 86, 881 (2017)), and a real scale rounds
-       each component once.  So t_i = p_i (1 + theta_i), where
-       p = r U[:, 0] x Vh[0] is an exact product vector and
-       |theta_i| <= theta = sqrt(5) u + u + sqrt(5) u^2 < 3.2361 u.  n^2 is
-       the computed sum of 2D squares, within gamma_2D = 2Du / (1 - 2Du)
-       < 1e-12 of |w|^2 for D <= DIMENSION_CAP, so |t|^2 is within 2^-39
-       of 1.
-    2. Each component of a computed product xy, x = a + ib and y = c + id
-       (or of x conj(y)), with or without a fused multiply-add, is within
-       (u + u^2)(P + |Re xy|) of Re xy, with P = |ac| + |bd|, and the
-       imaginary part within (u + u^2)(Q + |Im xy|), Q = |ad| + |bc|.  As
-       sign(ac bd) = sign(ad bc), the two products add in magnitude in one
-       component, say |Re xy| = P, and cancel in the other,
-       Q + |Im xy| = 2 max(|ad|, |bc|); so the error is at most
-       2 (u + u^2) sqrt(P^2 + max(|ad|, |bc|)^2).
-       With |a|, |b| = |x| (cos, sin) alpha, |c|, |d| = |y| (cos, sin) beta
-       and s = sin|alpha - beta|, P = |x||y| sqrt(1 - s^2) and
-       max(|ad|, |bc|) <= |x||y| (1 + s) / 2; ``1 - s^2 + (1 + s)^2 / 4``
-       peaks at 4/3 (s = 1/3), so the error is at most
-       kappa |xy|, kappa = 4/sqrt(3) (u + u^2) < 2.30941 u.
-       The constructor's ``_herm`` sets entry (i, j) to
-       0.5 fl(S_ij + conj(S_ji)), with S = fl(t t^dag); component by
-       component that lies between the two roundings of t_i conj(t_j) it
-       averages, so it obeys the same bounds (and is S_ij when S is already
-       Hermitian).  So sigma = t t^dag + E with E Hermitian and
-       |E_ij| <= kappa |t_i||t_j|.
-    3. ``|x^dag E x| <= kappa (sum_i |x_i||t_i|)^2 <= kappa |t|^2 |x|^2``, so
-       lambda_min(sigma) >= -kappa |t|^2 >= -b_sigma, b_sigma = 2.3095 u
-       (1.15 eps), and lambda_max(sigma) >= (1 - kappa) |t|^2 >= 1 - 2^-38.
-    4. By 1 and 2, |sigma_ij - p_i conj(p_j)| <= e |p_i||p_j| with
-       e = (1 + theta)^2 (1 + kappa) - 1 < 8.7817 u.  The partial transpose
-       moves entry (i, j) to some (i', j') and maps p p^dag to q q^dag,
-       with q the product vector whose transposed factor is conjugated,
-       exactly rank one, |q_i'||q_j'| = |p_i||p_j| and |q| = |p|.  As in 3,
-       lambda_min(sigma^Gamma) >= -e |p|^2 >= -e |t|^2 / (1 - theta)^2
-       >= -b_Gamma, b_Gamma = 8.79 u (4.4 eps, 9.76e-16), and
-       lambda_max(sigma^Gamma) >= (1 - e) |q|^2 >= 1 - 2^-38.
-
-    Underflow adds absolute errors of order 2^-1074 per rounding, far inside
-    the margin by which the constants are rounded up.  These bounds are the
-    ``psd`` and ``ppt`` residuals, and the spectrum rows
-    ``[-b, 0, ..., 1 - 2^-38]`` validate the certificate: b_sigma lies
-    below the clamp floor ``D eps lambda_max`` for every D >= 4, so the
-    constructor's keep-the-bits decision is proved rather than measured.
+    The certificate is that product vector, ``PureState(dims, v)`` with
+    ``v = a (x) b`` in state order, from one SVD and O(D) further work; no
+    D x D matrix is formed.  The state ``|v><v| / <v|v>`` of a product v is
+    PSD, its partial transpose is again a product state (the transposed
+    factor conjugated), and its trace is 1.  So the ``psd`` and ``ppt``
+    residuals are 0 by construction, and the ``trace`` residual is the
+    measured ``|<v|v> - 1|``.  The stored amplitudes are the product with
+    each entry rounded: across the cut their second singular value s_2 is a
+    few eps, and so is the least eigenvalue ``-s_1 s_2`` of the partial
+    transpose of those exact bits, the order of a float64 eigensolver's own
+    error.  ``value`` is the overlap ``|<psi|v>|^2 / <v|v>``, clamped at 1,
+    and ``gap`` the rounding by which it falls short of s_1^2.
     """
     if psi.dim > DIMENSION_CAP:
         raise SizeLimitError(f"dimension {psi.dim} exceeds the cap {DIMENSION_CAP}")
@@ -543,18 +472,13 @@ def max_overlap_ppt(psi: PureState, cut: Bipartition) -> PptOptResult:
     shape = [dims[i] for i in order]
     M = psi.amplitudes.reshape(dims).transpose(order).reshape(math.prod(shape[: len(cut.left)]), -1)
     U, s, Vh = np.linalg.svd(M, full_matrices=False)
-    top = np.outer(U[:, 0], Vh[0]).reshape(shape).transpose(np.argsort(order)).reshape(-1)
-    top /= math.sqrt(np.vdot(top, top).real)  # |u|^2 |v|^2 can miss 1 by a few ulps
-    proven = np.zeros((2, psi.dim))
-    proven[:, 0], proven[:, -1] = (-_PSD_BOUND, -_PPT_BOUND), _TOP_BOUND
-
-    def score(sigma):
-        value = float(np.real(psi.amplitudes.conj() @ sigma @ psi.amplitudes))
-        return value, max(0.0, s[0] ** 2 - value)
-
-    return _result(
-        dims, np.outer(top, top.conj()), lambda sigma: proven, score, 0, PptOptConfig.tol
-    )
+    v = np.outer(U[:, 0], Vh[0]).reshape(shape).transpose(np.argsort(order)).reshape(-1)
+    v /= math.sqrt(np.vdot(v, v).real)  # |U[:, 0]|^2 |Vh[0]|^2 can miss 1 by ulps
+    norm = float(np.vdot(v, v).real)
+    value = min(1.0, float(abs(np.vdot(v, psi.amplitudes)) ** 2) / norm)
+    gap = max(0.0, float(s[0]) ** 2 - value)
+    residuals = {"trace": abs(norm - 1.0), "psd": 0.0, "ppt": 0.0}
+    return PptOptResult(value, PureState(dims, v), 0, gap <= PptOptConfig.tol, residuals, gap)
 
 
 def min_trace_distance_ppt(
@@ -625,14 +549,19 @@ def min_trace_distance_ppt(
     S, upper, iterations = _interior_point(
         coords, C, b, z, lambda S: -tdist(S[2]), bound, config
     )
-    return _result(
-        dims,
-        S[2],
-        lambda a: np.linalg.eigvalsh(np.stack([a, _pt_array(a, dims, cut.left)])),
-        lambda sigma: (t := tdist(sigma), t + upper),
-        iterations,
-        config.tol,
+    # validated from the spectra (2, D) of the certificate and its partial
+    # transpose, which also give its residuals
+    cert, w = _density_with_spectrum(
+        dims, S[2], lambda a: np.linalg.eigvalsh(np.stack([a, _pt_array(a, dims, cut.left)]))
     )
+    value = tdist(cert.data)
+    gap = value + upper
+    residuals = {
+        "trace": abs(float(np.trace(cert.data).real) - 1.0),
+        "psd": max(0.0, -float(w[0, 0])),
+        "ppt": max(0.0, -float(w[1, 0])),
+    }
+    return PptOptResult(value, cert, iterations, gap <= config.tol, residuals, gap)
 
 
 def _as_pure(state: PureState | DensityMatrix) -> PureState | None:
@@ -662,7 +591,7 @@ def geometric_distillability_ppt(
     pure = _as_pure(state)
     if pure is not None:
         res = max_overlap_ppt(pure, cut)
-        value = 1.0 - float(np.sqrt(max(0.0, res.value)))
+        value = 1.0 - math.sqrt(res.value)
         return GeoDistResult(low=value, high=value, detail=res)
     res = min_trace_distance_ppt(state, cut, config)
     t = min(1.0, res.value)

@@ -366,6 +366,21 @@ def test_geodist_bell_pair(tmp_path, capsys):
     assert "converged=True" in captured.err and 0.0 <= gap <= 1e-12  # closed form, exact
 
 
+def test_geodist_of_a_product_state_prints_zero(tmp_path, capsys):
+    # rounding read the overlap of 7 of these 20 products above 1, and the
+    # point bracket printed as -0.000000000000
+    rng = np.random.default_rng(1019)
+    for _ in range(20):
+        a = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        b = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        vec = np.kron(a / np.linalg.norm(a), b / np.linalg.norm(b))
+        save_state(pptmerge.PureState((3, 4), vec), tmp_path / "prod.json")
+        assert main(["geodist", str(tmp_path / "prod.json"), "--cut", "0:1"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "0.000000000000\n"
+        assert "psd=0.000e+00, ppt=0.000e+00" in captured.err
+
+
 def test_geodist_tripartite_defaults_to_ab_c(tmp_path, capsys):
     robust = _generate(tmp_path, "robust-vanishing", extra=("--p", "0.3"))
     capsys.readouterr()

@@ -218,8 +218,7 @@ def _print_diagnostics(result) -> None:
 
 def _cmd_geodist(args) -> int:
     target, cut = _opt_input(args)
-    config = PptOptConfig(max_iters=args.max_iters, tol=args.tol)
-    result = geometric_distillability_ppt(target, cut, config)
+    result = geometric_distillability_ppt(target, cut, PptOptConfig(tol=args.tol))
     if result.low == result.high:
         print(_fmt(result.low))
     else:
@@ -278,9 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("state")
     p.add_argument("--cut", help="bipartition, e.g. AB:C or 0,1:2")
     p.add_argument("--tol", type=float, default=PptOptConfig.tol, help="optimiser tolerance")
-    p.add_argument(
-        "--max-iters", type=int, default=PptOptConfig.max_iters, help="iteration budget"
-    )
     p.set_defaults(func=_cmd_geodist)
 
     p = sub.add_parser("overlap", help="best overlap of a pure target with the PPT set")

@@ -27,7 +27,8 @@ __all__ = [
     "partial_transpose",
 ]
 
-# Largest composite dimension `tensor` will produce.
+# Largest composite dimension `tensor` will produce, and largest pure state
+# whose D x D projector `PureState.data` will build.
 DIMENSION_CAP = 4096
 
 _HERMITICITY_ATOL = 1e-10
@@ -114,8 +115,8 @@ def _ints(values) -> tuple[int, ...]:
     """The values as Python ints; raises ``ValueError`` on a value that is not
     an integer, such as a float, a string or a bool.  numpy integers are
     accepted."""
-    values = tuple(values)
     try:
+        values = tuple(values)
         if any(isinstance(v, bool) for v in values):
             raise TypeError
         return tuple(operator.index(v) for v in values)
@@ -294,7 +295,10 @@ class PureState:
     @property
     def data(self) -> np.ndarray:
         """The projector ``|psi><psi|``, a new read-only D x D array that is
-        Hermitian bit for bit."""
+        Hermitian bit for bit.  Raises :class:`SizeLimitError`, before
+        allocating, when D exceeds :data:`DIMENSION_CAP`."""
+        if self.dim > DIMENSION_CAP:
+            raise SizeLimitError(f"projector dimension {self.dim} exceeds the cap {DIMENSION_CAP}")
         arr = _herm(np.outer(self.amplitudes, self.amplitudes.conj()))
         arr.flags.writeable = False
         return arr
@@ -327,7 +331,8 @@ class Bipartition:
     right: tuple[int, ...]
 
     def __post_init__(self):
-        left, right = _partition((self.left, self.right), len(self.left) + len(self.right))
+        left, right = _ints(self.left), _ints(self.right)
+        left, right = _partition((left, right), len(left) + len(right))
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
 
@@ -335,7 +340,8 @@ class Bipartition:
     def of(cls, left: Iterable[int], n_subsystems: int) -> "Bipartition":
         """Build a bipartition from the left block and the subsystem count."""
         left = tuple(sorted(_ints(left)))
-        right = tuple(i for i in range(n_subsystems) if i not in left)
+        (n,) = _ints((n_subsystems,))
+        right = tuple(i for i in range(n) if i not in left)
         return cls(left, right)
 
     @property
@@ -344,7 +350,10 @@ class Bipartition:
 
 
 def _check_cut(cut: Bipartition, n: int) -> None:
-    """Reject a cut that does not cover exactly the state's ``n`` subsystems."""
+    """Reject a cut that is not a :class:`Bipartition` or does not cover
+    exactly the state's ``n`` subsystems."""
+    if not isinstance(cut, Bipartition):
+        raise ValueError(f"cut must be a Bipartition, got {type(cut).__name__}")
     if cut.n_subsystems != n:
         raise ValueError(f"cut covers {cut.n_subsystems} subsystems but the state has {n}")
 
@@ -393,7 +402,7 @@ class TripartiteState:
         b_indices: Sequence[int],
         c_indices: Sequence[int],
     ) -> "TripartiteState":
-        return cls(psi.to_density(), tuple(a_indices), tuple(b_indices), tuple(c_indices))
+        return cls(psi.to_density(), a_indices, b_indices, c_indices)
 
     @property
     def dims(self) -> tuple[int, ...]:

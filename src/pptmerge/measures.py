@@ -72,8 +72,10 @@ def _marginal_entropy(rho: DensityMatrix, keep: Sequence[int]) -> float:
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """Entropy -sum(p log2 p) over eigenvalues above 1e-12."""
-    return _marginal_entropy(rho, range(len(rho.dims)))
+    """Entropy -sum(p log2 p) over eigenvalues above 1e-12; never negative,
+    so rounding below 0 (a pure state's top eigenvalue just above 1) is
+    clamped to 0."""
+    return max(0.0, _entropy(np.linalg.eigvalsh(rho.data)))
 
 
 def conditional_entropy(state: TripartiteState) -> float:
@@ -92,7 +94,7 @@ def mutual_information(rho: DensityMatrix, cut: Bipartition) -> float:
     _check_cut(cut, len(rho.dims))
     s_left = _marginal_entropy(rho, cut.left)
     s_right = _marginal_entropy(rho, cut.right)
-    return max(0.0, s_left + s_right - von_neumann_entropy(rho))
+    return max(0.0, s_left + s_right - _entropy(np.linalg.eigvalsh(rho.data)))
 
 
 def _rank_factor(matrix: np.ndarray) -> np.ndarray:
@@ -158,7 +160,7 @@ def hashing_witness(rho: DensityMatrix, cut: Bipartition) -> WitnessValue:
     proves nothing.
     """
     _check_cut(cut, len(rho.dims))
-    s_whole = von_neumann_entropy(rho)
+    s_whole = _entropy(np.linalg.eigvalsh(rho.data))  # unclamped, as are the marginals
     s_left = _marginal_entropy(rho, cut.left)
     s_right = _marginal_entropy(rho, cut.right)
     return WitnessValue(

@@ -19,7 +19,6 @@ solver stops once the two are within ``tol``.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -70,25 +69,21 @@ _PREDICTOR_STEP = 0.95
 # Matrix entries per row chunk of the Schur assembly (see _Coords.schur).
 _SCHUR_CHUNK = 2**16
 
+# Most iterations of one interior-point solve: a guard against a stalled
+# solve, not a setting.  A solve stops on a certified gap at or below tol or
+# at the gap's rounding floor, and no benchmark input needs more than 13.
+_MAX_ITERS = 100
+
 
 @dataclass(frozen=True)
 class PptOptConfig:
-    """Knobs of the trace-distance solver.
+    """The one setting of the trace-distance solver: ``tol``, the largest
+    certified gap at which a call stops.  The iteration count is bounded
+    only by a fixed guard against a stalled solve (``_MAX_ITERS``)."""
 
-    ``max_iters`` caps the interior-point iterations of a call; ``tol`` is
-    the largest certified gap at which a call stops.
-    """
-
-    max_iters: int = 100
     tol: float = 1e-7
 
     def __post_init__(self):
-        if (
-            not isinstance(self.max_iters, numbers.Integral)
-            or isinstance(self.max_iters, bool)
-            or self.max_iters < 1
-        ):
-            raise ValueError(f"max_iters must be an integer of at least 1, got {self.max_iters!r}")
         _check_tol(self.tol, positive=True)
 
 
@@ -325,7 +320,7 @@ def _interior_point(
     z: np.ndarray,
     value: Callable[[np.ndarray], float],
     bound: Callable[[np.ndarray], float],
-    config: PptOptConfig,
+    tol: float,
 ) -> tuple[np.ndarray, float, int]:
     """Maximise ``b.z`` subject to ``S_k = C_k + L_k(z) >= 0`` for every block k.
 
@@ -371,13 +366,14 @@ def _interior_point(
     where it meets the cone boundary (or its full step): that point is
     feasible up to rounding and nearly optimal, where an iterate lags the
     optimum by about its own gap.  The loop stops once the best value
-    and the best bound are within ``config.tol``, or once a step leaves S
+    and the best bound are within ``tol``, or once a step leaves S
     or X only semidefinite in floating point, so that their Cholesky
     factorisation fails: the gap has reached its rounding floor, which
     happens when ``tol`` lies below it (at tol = 1e-12, on 17 of 20
     random 2 x 2 rank-2 states, whose gaps end at 7e-13 to 3e-10).
-    Returns the best dual point's blocks, the best bound and the
-    iterations taken, the failed step included.
+    A solve that does neither within ``_MAX_ITERS`` iterations stops there
+    too, with its gap above ``tol``.  Returns the best dual point's blocks,
+    the best bound and the iterations taken, the failed step included.
     """
     nb = len(C)
     n = nb * coords.D
@@ -397,10 +393,10 @@ def _interior_point(
         if v > best_value:
             best_value, best_S = v, S
 
-    for it in range(config.max_iters + 1):
+    for it in range(_MAX_ITERS + 1):
         score(S)
         best_bound = min(best_bound, bound(X))
-        if best_bound - best_value <= config.tol or it == config.max_iters:
+        if best_bound - best_value <= tol or it == _MAX_ITERS:
             break
 
         Rs = R[:nb]
@@ -495,7 +491,10 @@ def min_trace_distance_ppt(
     block's multiplier clipped to ``[0, I]`` and Z the positive definite
     multiplier of ``sigma^Gamma``: for 0 <= W <= I and Z >= 0,
     T(rho, sigma) >= Tr W (rho - sigma) >= Tr W rho - Tr (W + Z^Gamma) sigma
-    on F(cut).  ``gap`` is ``value`` minus that bound.
+    on F(cut).  ``gap`` is ``value`` minus that bound.  The kernel stops
+    once its certified gap is at most ``config.tol`` or, short of that, at
+    the gap's rounding floor or at the fixed guard of ``_MAX_ITERS``
+    iterations; only those two exits can leave ``converged`` false.
 
     sigma and P keep only the entries inside rho's symmetry sectors
     (:func:`core._sectors`), which loses nothing.  rho is fixed by a torus
@@ -547,7 +546,7 @@ def min_trace_distance_ppt(
     b = np.concatenate([np.zeros(coords.n - 1), -ones])
     z = np.concatenate([np.zeros(coords.n - 1), ones])  # sigma = I/D, P = I
     S, upper, iterations = _interior_point(
-        coords, C, b, z, lambda S: -tdist(S[2]), bound, config
+        coords, C, b, z, lambda S: -tdist(S[2]), bound, config.tol
     )
     # validated from the spectra (2, D) of the certificate and its partial
     # transpose, which also give its residuals

@@ -3,11 +3,13 @@
 import hashlib
 import importlib
 import json
+import math
 import os
 import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -113,6 +115,14 @@ def test_measure_frozen_strings(tmp_path, capsys):
     assert main(["measure", str(robust), "mutual-information", "--cut", "A:BC"]) == 0
     out = capsys.readouterr().out
     assert float(out) > 0.5
+
+
+def test_entropy_of_a_pure_product_prints_no_minus_sign(tmp_path, capsys):
+    # rounding puts the top eigenvalue just above 1; this printed -0.000000000000
+    product = _generate(tmp_path, "product-pure")
+    capsys.readouterr()
+    assert main(["measure", str(product), "entropy"]) == 0
+    assert capsys.readouterr().out == "0.000000000000\n"
 
 
 def test_measure_error_paths(tmp_path, capsys):
@@ -443,17 +453,39 @@ def test_overlap_rejects_mixed_states(tmp_path, capsys):
     assert "pure" in capsys.readouterr().err
 
 
-def test_overlap_dimension_cap_exit_code(tmp_path, capsys):
-    # D = 4097, the first size past the exact-operation cap
+@pytest.mark.parametrize(
+    "dims, labels, argv",
+    [
+        # D = 4097, the first size past the exact-operation cap
+        ([17, 241], None, ["overlap", "--cut", "0:1"]),
+        ([17, 241], None, ["measure", "entropy"]),
+        # D = 4100 with labels: the file's load builds the tripartite state
+        ([2, 2, 1025], {"a": [0], "b": [1], "c": [2]}, ["classify"]),
+        ([2, 2, 1025], {"a": [0], "b": [1], "c": [2]}, ["overlap"]),
+        ([2, 2, 1025], {"a": [0], "b": [1], "c": [2]}, ["geodist"]),
+    ],
+    ids=["overlap", "measure", "labelled-classify", "labelled-overlap", "labelled-geodist"],
+)
+def test_overlap_dimension_cap_exit_code(tmp_path, capsys, dims, labels, argv):
+    # each fails fast, far below the 256 MiB of one complex D x D matrix
+    D = math.prod(dims)
     payload = {
         "format_version": 1,
-        "dims": [17, 241],
-        "amplitudes": [[1.0, 0.0]] + [[0.0, 0.0]] * DIMENSION_CAP,
+        "dims": dims,
+        "amplitudes": [[1.0, 0.0]] + [[0.0, 0.0]] * (D - 1),
     }
+    if labels is not None:
+        payload["labels"] = labels
     big = tmp_path / "big.json"
     big.write_text(json.dumps(payload))
-    assert main(["overlap", str(big), "--cut", "0:1"]) == 3
-    assert f"cap {DIMENSION_CAP}" in capsys.readouterr().err
+    tracemalloc.start()
+    try:
+        assert main([argv[0], str(big), *argv[1:]]) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f"{D} exceeds the cap {DIMENSION_CAP}" in capsys.readouterr().err
+    assert peak < 16 * 2**20
 
 
 @pytest.mark.parametrize("dims, left", [((6, 7), (0,)), ((2,) * 7, (0, 1, 2))])
@@ -472,6 +504,15 @@ def test_overlap_takes_no_solver_flags(tmp_path, capsys):
     phi = _generate(tmp_path, "phi-plus")
     with pytest.raises(SystemExit) as exc:
         main(["overlap", str(phi), "--cut", "0:1", "--tol", "1e-7"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
+def test_geodist_takes_no_iteration_budget(tmp_path, capsys):
+    # the solver's iteration count is bounded by a fixed guard, not a flag
+    robust = _generate(tmp_path, "robust-vanishing")
+    with pytest.raises(SystemExit) as exc:
+        main(["geodist", str(robust), "--max-iters", "5"])
     assert exc.value.code == 2
     capsys.readouterr()
 
@@ -511,6 +552,20 @@ def _readme_names(heading):
 def test_readme_lists_match_cli_tables():
     assert _readme_names("Families available to `generate`") == list(cli_mod._FAMILIES)
     assert _readme_names("Measures available to `measure`") == list(cli_mod._MEASURES)
+
+
+def _parser_flags(command):
+    sub = next(a for a in cli_mod.build_parser()._actions if command in (a.choices or ()))
+    flags = (f for a in sub.choices[command]._actions for f in a.option_strings)
+    return [f for f in flags if f.startswith("--") and f != "--help"]
+
+
+@pytest.mark.parametrize("command", ["geodist", "overlap"])
+def test_readme_names_the_parsers_flags(command):
+    # the sentence "`command` takes ..." up to its first colon or full stop
+    match = re.search(rf"`{command}` takes (.*?)[:.]", README.read_text(), re.DOTALL)
+    assert match, command
+    assert re.findall(r"`(--[\w-]+)`", match.group(1)) == _parser_flags(command)
 
 
 def _same_token(got, want):

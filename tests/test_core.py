@@ -1,5 +1,6 @@
 """Containers and linear algebra primitives."""
 
+import json
 import re
 import warnings
 
@@ -13,11 +14,15 @@ from pptmerge import (
     PureState,
     SizeLimitError,
     TripartiteState,
+    dumps_state,
     ghz,
+    hashing_witness,
+    loads_state,
     partial_trace,
     partial_transpose,
     tensor,
 )
+from pptmerge import core
 from pptmerge.core import _density_with_spectrum
 from helpers import haar_unitary, random_density, random_ket, random_pure
 from oracles import partial_trace_einsum
@@ -343,6 +348,56 @@ MIXED_4 = DensityMatrix((2, 2), np.eye(4) / 4)
 def test_integer_inputs_are_checked_not_truncated(build):
     with pytest.raises(ValueError, match="expected integers"):
         build()
+
+
+PURE_8 = PureState((2, 2, 2), np.eye(8)[0])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: DensityMatrix(4, np.eye(4) / 4),
+        lambda: PureState(4, np.eye(4)[0]),
+        lambda: partial_trace(MIXED_4, 0),
+        lambda: Bipartition.of(0, 2),
+        lambda: Bipartition.of((0,), 2.5),
+        lambda: Bipartition((0,), 1),
+        lambda: TripartiteState(PURE_8.to_density(), 0, 1, 2),
+        lambda: TripartiteState.from_pure(PURE_8, 0, 1, 2),
+        lambda: partial_transpose(MIXED_4, (0,)),
+        lambda: hashing_witness(MIXED_4, (0,)),
+    ],
+    ids=[
+        "dims-int", "pure-dims-int", "keep-int", "of-left-int", "of-n-float",
+        "bipartition-right-int", "tripartite-ints", "from-pure-ints", "pt-tuple-cut",
+        "hashing-tuple-cut",
+    ],
+)
+def test_inputs_of_the_wrong_kind_raise_value_error(build):
+    # each raised TypeError or AttributeError from a len, a loop or an attribute
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_pure_projector_is_capped_before_it_is_built(monkeypatch):
+    # a pure state above the cap is fine as amplitudes, but its projector,
+    # and everything built on it, fails before any D x D array exists
+    def no_outer(*args, **kwargs):
+        raise AssertionError("the projector was built before the size check")
+
+    monkeypatch.setattr(core, "DIMENSION_CAP", 4)
+    monkeypatch.setattr(np, "outer", no_outer)
+    payload = json.loads(dumps_state(PURE_8))
+    payload["labels"] = {"a": [0], "b": [1], "c": [2]}
+    for build in (
+        lambda: PURE_8.data,
+        PURE_8.to_density,
+        lambda: TripartiteState.from_pure(PURE_8, (0,), (1,), (2,)),
+        lambda: loads_state(json.dumps(payload)),
+    ):
+        with pytest.raises(SizeLimitError, match="dimension 8 exceeds the cap 4"):
+            build()
+    assert loads_state(dumps_state(PURE_8)).dim == 8  # the amplitudes alone stay legal
 
 
 def test_numpy_integers_are_integers():

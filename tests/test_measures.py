@@ -64,6 +64,20 @@ def test_entropy_additive_over_tensor():
         assert abs(s - von_neumann_entropy(a) - von_neumann_entropy(b)) < 1e-9
 
 
+def test_entropy_of_a_pure_state_is_not_negative():
+    # rounding puts the top eigenvalue just above 1, which gave entropies
+    # down to -1.6e-15 and -0.0; a third of the kets are products
+    rng = np.random.default_rng(71)
+    for k in range(60):
+        dims = (int(rng.integers(2, 4)), int(rng.integers(2, 5)))
+        if k % 3:
+            psi = random_pure(rng, dims)
+        else:
+            psi = tensor(random_pure(rng, dims[:1]), random_pure(rng, dims[1:]))
+        s = von_neumann_entropy(psi.to_density())
+        assert 0.0 <= s < 1e-12 and not np.signbit(s)
+
+
 def test_conditional_entropy_signs():
     # B maximally mixed given C: S(BC) - S(C) = 1
     assert abs(conditional_entropy(product_example(phi_plus())) - 1.0) < 1e-9

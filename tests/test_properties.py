@@ -21,7 +21,6 @@ from pptmerge import (
     Bipartition,
     DensityMatrix,
     InconsistentCriteriaError,
-    PptOptConfig,
     PureState,
     TripartiteState,
     classify,
@@ -38,6 +37,7 @@ from pptmerge import (
     trace_distance,
     von_neumann_entropy,
 )
+from pptmerge import pptopt
 from pptmerge.core import _herm, _pt_array, _sectors
 from pptmerge.pptopt import _Coords
 from helpers import haar_unitary, random_density, random_separable
@@ -160,7 +160,9 @@ def test_trace_distance_dual_bound_is_below_every_separable_distance(
     sigma = random_separable(rng, *dims)
     noise = random_density(rng, dims, rank=min(rank, int(np.prod(dims))))
     rho = DensityMatrix(dims, (1.0 - weight) * sigma.data + weight * noise.data)
-    res = min_trace_distance_ppt(rho, Bipartition((0,), (1,)), PptOptConfig(max_iters=budget))
+    # the iteration guard, patched here; a fixture would trip Hypothesis's health check
+    with mock.patch.object(pptopt, "_MAX_ITERS", budget):
+        res = min_trace_distance_ppt(rho, Bipartition((0,), (1,)))
     assert res.value - res.gap <= trace_distance(rho, sigma) + 1e-12
     other = random_separable(rng, *dims)
     assert res.value - res.gap <= trace_distance(rho, other) + 1e-12

@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bloch import _family_rank
-from .core import TripartiteState, _DEFAULT_TOL, _check_tol, _pt_array, _ptrace_array
+from .core import TripartiteState, _DEFAULT_TOL, _check_kind, _check_tol, _pt_array, _ptrace_array
 from .families import SEP_FAMILY_BLOCKS
 from .measures import _entropy, conditional_entropy
 
@@ -185,6 +185,7 @@ def check_sep_family_obstruction(state: TripartiteState, tol: float = _DEFAULT_T
     their weights, are checked as one (da, 4, 4) stack: one batched PPT
     spectrum and one Bloch-rank SVD.
     """
+    _check_kind("state", state, TripartiteState)
     _check_tol(tol)
     dims, b, c = state.dims, state.b_indices, state.c_indices
     holds, witness = False, None
@@ -268,6 +269,7 @@ def merging_cost_pure(state: TripartiteState, atol: float = _DEFAULT_TOL) -> flo
     Only meaningful for pure global states, where the rate is exactly
     S(BC) - S(C); mixed inputs are rejected.
     """
+    _check_kind("state", state, TripartiteState)
     if not state.state.is_pure(atol):
         raise ValueError(
             f"merging cost is defined for pure states; purity = {state.state.purity():.6f}"
@@ -281,6 +283,7 @@ def classify(state: TripartiteState, tol: float = _DEFAULT_TOL) -> Classificatio
     Raises :class:`InconsistentCriteriaError` when the perfect and
     vanishing criteria both certify, which no state can do.
     """
+    _check_kind("state", state, TripartiteState)
     _check_tol(tol)
     sp = _spectra(state)
     criteria, certified = [], []

@@ -41,8 +41,17 @@ class SizeLimitError(ValueError):
     """An operation would exceed the configured dimension cap."""
 
 
+def _complex_array(data, copy: bool | None = None) -> np.ndarray:
+    """``data`` as a complex array, a new one if ``copy``; raises ``ValueError``
+    on data that numpy cannot read as numbers, such as a dict."""
+    try:
+        return np.array(data, dtype=complex, copy=copy)
+    except TypeError as exc:
+        raise ValueError(f"expected an array of numbers, got {type(data).__name__}") from exc
+
+
 def _as_complex_matrix(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=complex)
+    arr = _complex_array(data)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
     if not np.isfinite(arr).all():
@@ -263,7 +272,12 @@ def _density_with_spectrum(
 class PureState:
     """Unit vector on a tensor product of finite-dimensional subsystems.
 
-    The amplitude vector must be normalised to within 1e-12.
+    The amplitude vector must be finite, of length ``prod(dims)`` and
+    normalised to within 1e-12, checked in that order.  The check reads the
+    squared norm from one ``np.vdot``; the entry-by-entry finite test runs
+    only when that norm is not finite, as it is when an entry is, or when
+    huge finite entries overflow.  The stored amplitudes are a read-only
+    complex copy.
     """
 
     dims: tuple[int, ...]
@@ -271,19 +285,18 @@ class PureState:
 
     def __post_init__(self):
         dims = _check_dims(self.dims)
-        vec = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        if not np.isfinite(vec).all():
+        vec = _complex_array(self.amplitudes, copy=True).reshape(-1)
+        D = math.prod(dims)
+        norm2 = float(np.vdot(vec, vec).real)  # inf or NaN iff an entry is, or huge ones overflow
+        if not math.isfinite(norm2) and not np.isfinite(vec).all():
             raise ValueError("amplitudes contain non-finite entries")
-        D = int(np.prod(dims))
         if vec.shape != (D,):
             raise ValueError(
                 f"amplitude length {vec.shape[0]} does not match dims {dims} (D={D})"
             )
-        with np.errstate(over="ignore"):  # huge finite amplitudes give norm inf
-            norm = float(np.linalg.norm(vec))
+        norm = math.sqrt(norm2)
         if abs(norm - 1.0) > _PURE_NORM_ATOL:
             raise ValueError(f"state vector is not normalised: |norm - 1| = {abs(norm - 1.0):.3e}")
-        vec = vec.copy()
         vec.flags.writeable = False
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amplitudes", vec)
@@ -349,11 +362,18 @@ class Bipartition:
         return len(self.left) + len(self.right)
 
 
+def _check_kind(name: str, value, *kinds: type) -> None:
+    """Reject an argument ``name`` that is an instance of none of ``kinds``,
+    with ``ValueError`` rather than a later ``AttributeError``."""
+    if not isinstance(value, kinds):
+        expected = " or ".join(kind.__name__ for kind in kinds)
+        raise ValueError(f"{name} must be a {expected}, got {type(value).__name__}")
+
+
 def _check_cut(cut: Bipartition, n: int) -> None:
     """Reject a cut that is not a :class:`Bipartition` or does not cover
     exactly the state's ``n`` subsystems."""
-    if not isinstance(cut, Bipartition):
-        raise ValueError(f"cut must be a Bipartition, got {type(cut).__name__}")
+    _check_kind("cut", cut, Bipartition)
     if cut.n_subsystems != n:
         raise ValueError(f"cut covers {cut.n_subsystems} subsystems but the state has {n}")
 
@@ -385,8 +405,7 @@ class TripartiteState:
     c_indices: tuple[int, ...]
 
     def __post_init__(self):
-        if not isinstance(self.state, DensityMatrix):
-            raise ValueError(f"state must be a DensityMatrix, got {type(self.state).__name__}")
+        _check_kind("state", self.state, DensityMatrix)
         a, b, c = _partition(
             (self.a_indices, self.b_indices, self.c_indices), len(self.state.dims)
         )

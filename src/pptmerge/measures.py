@@ -18,6 +18,7 @@ from .core import (
     TripartiteState,
     _DEFAULT_TOL,
     _check_cut,
+    _check_kind,
     _check_tol,
     _ptrace_array,
     partial_transpose,
@@ -84,6 +85,7 @@ def conditional_entropy(state: TripartiteState) -> float:
     Non-positive values certify that party B can be merged into party C
     without spoiling correlations with A; see :mod:`pptmerge.classify`.
     """
+    _check_kind("state", state, TripartiteState)
     s_bc = _marginal_entropy(state.state, state.b_indices + state.c_indices)
     return s_bc - _marginal_entropy(state.state, state.c_indices)
 

@@ -31,6 +31,7 @@ from .core import (
     PureState,
     SizeLimitError,
     _check_cut,
+    _check_kind,
     _check_tol,
     _dag,
     _density_with_spectrum,
@@ -460,6 +461,7 @@ def max_overlap_ppt(psi: PureState, cut: Bipartition) -> PptOptResult:
     error.  ``value`` is the overlap ``|<psi|v>|^2 / <v|v>``, clamped at 1,
     and ``gap`` the rounding by which it falls short of s_1^2.
     """
+    _check_kind("psi", psi, PureState)
     if psi.dim > DIMENSION_CAP:
         raise SizeLimitError(f"dimension {psi.dim} exceeds the cap {DIMENSION_CAP}")
     dims = psi.dims
@@ -468,7 +470,8 @@ def max_overlap_ppt(psi: PureState, cut: Bipartition) -> PptOptResult:
     shape = [dims[i] for i in order]
     M = psi.amplitudes.reshape(dims).transpose(order).reshape(math.prod(shape[: len(cut.left)]), -1)
     U, s, Vh = np.linalg.svd(M, full_matrices=False)
-    v = np.outer(U[:, 0], Vh[0]).reshape(shape).transpose(np.argsort(order)).reshape(-1)
+    inverse = sorted(range(len(order)), key=order.__getitem__)
+    v = (U[:, :1] * Vh[0]).reshape(shape).transpose(inverse).reshape(-1)  # np.outer's product
     v /= math.sqrt(np.vdot(v, v).real)  # |U[:, 0]|^2 |Vh[0]|^2 can miss 1 by ulps
     norm = float(np.vdot(v, v).real)
     value = min(1.0, float(abs(np.vdot(v, psi.amplitudes)) ** 2) / norm)
@@ -511,6 +514,8 @@ def min_trace_distance_ppt(
     rows counted against ``OPT_SCHUR_CAP`` are those used, found before
     any other work.
     """
+    _check_kind("rho", rho, DensityMatrix, PureState)
+    _check_kind("config", config, PptOptConfig, type(None))
     config = config or PptOptConfig()
     dims = rho.dims
     _check_cut(cut, len(dims))
@@ -565,6 +570,7 @@ def min_trace_distance_ppt(
 
 def _as_pure(state: PureState | DensityMatrix) -> PureState | None:
     """The state's top eigenvector if its purity is within 1e-9 of 1, else None."""
+    _check_kind("state", state, PureState, DensityMatrix)
     if isinstance(state, PureState):
         return state
     if not state.is_pure():
@@ -585,8 +591,9 @@ def geometric_distillability_ppt(
     square root of the overlap and the bracket collapses to the point
     ``1 - s_1``.  Mixed inputs yield the interval ``[1 - sqrt(1 - T^2), T]``
     with T the minimal trace distance to the feasible set; ``config`` tunes
-    only that solver.
+    only that solver, but is checked for every input.
     """
+    _check_kind("config", config, PptOptConfig, type(None))
     pure = _as_pure(state)
     if pure is not None:
         res = max_overlap_ppt(pure, cut)

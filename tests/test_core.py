@@ -11,13 +11,21 @@ from pptmerge import (
     DIMENSION_CAP,
     Bipartition,
     DensityMatrix,
+    PptOptConfig,
     PureState,
     SizeLimitError,
     TripartiteState,
+    check_sep_family_obstruction,
+    classify,
+    conditional_entropy,
     dumps_state,
+    geometric_distillability_ppt,
     ghz,
     hashing_witness,
     loads_state,
+    max_overlap_ppt,
+    merging_cost_pure,
+    min_trace_distance_ppt,
     partial_trace,
     partial_transpose,
     tensor,
@@ -202,6 +210,34 @@ def test_pure_state_rejects_amplitudes_whose_norm_overflows():
             PureState((2, 2), np.array([1e308, 1e308, 0.0, 0.0]))
 
 
+def test_a_valid_pure_state_takes_no_entry_by_entry_finite_pass(monkeypatch):
+    # the squared norm from one vdot is finite, which rules out inf and NaN
+    # entries, so only a vector that fails that test is scanned entry by entry
+    calls = []
+    isfinite = np.isfinite
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return isfinite(*args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counted)
+    psi = PureState((2, 2), PHI_PLUS)
+    assert calls == []
+    assert psi.amplitudes.tobytes() == PHI_PLUS.astype(complex).tobytes()
+    assert not psi.amplitudes.flags.writeable
+    for bad, message in [([np.nan, 1.0], "non-finite"), ([1e200, 1e200], "normalised")]:
+        with pytest.raises(ValueError, match=message):
+            PureState((2,), bad)
+    assert len(calls) == 2
+
+
+def test_pure_state_keeps_its_own_copy():
+    amps = PHI_PLUS.astype(complex)
+    psi = PureState((2, 2), amps)
+    amps[0] = 0.0
+    assert psi.amplitudes[0] == PHI_PLUS[0]
+
+
 def test_pure_to_density_matches_outer_product():
     rng = np.random.default_rng(3)
     psi = random_pure(rng, (2, 3))
@@ -376,6 +412,58 @@ PURE_8 = PureState((2, 2, 2), np.eye(8)[0])
 def test_inputs_of_the_wrong_kind_raise_value_error(build):
     # each raised TypeError or AttributeError from a len, a loop or an attribute
     with pytest.raises(ValueError):
+        build()
+
+
+CUT_4 = Bipartition((0,), (1,))
+PURE_4 = PureState((2, 2), PHI_PLUS)
+NOT_TRIPARTITE = "state must be a TripartiteState, got DensityMatrix"
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: max_overlap_ppt(MIXED_4, CUT_4), "psi must be a PureState, got DensityMatrix"),
+        (lambda: max_overlap_ppt(MIXED_4.data, CUT_4), "psi must be a PureState, got ndarray"),
+        (
+            lambda: geometric_distillability_ppt(MIXED_4.data, CUT_4),
+            "state must be a PureState or DensityMatrix, got ndarray",
+        ),
+        (
+            lambda: geometric_distillability_ppt(MIXED_4, CUT_4, config=1e-7),
+            "config must be a PptOptConfig or NoneType, got float",
+        ),
+        # a pure input never reaches the mixed solver, and used to pass
+        (
+            lambda: geometric_distillability_ppt(PURE_4, CUT_4, config=1e-7),
+            "config must be a PptOptConfig or NoneType, got float",
+        ),
+        # a falsy config used to run as the default one
+        (
+            lambda: min_trace_distance_ppt(MIXED_4, CUT_4, config=0),
+            "config must be a PptOptConfig or NoneType, got int",
+        ),
+        (
+            lambda: min_trace_distance_ppt(MIXED_4.data, CUT_4, PptOptConfig()),
+            "rho must be a DensityMatrix or PureState, got ndarray",
+        ),
+        (lambda: classify(MIXED_4), NOT_TRIPARTITE),
+        (lambda: conditional_entropy(MIXED_4), NOT_TRIPARTITE),
+        (lambda: merging_cost_pure(MIXED_4), NOT_TRIPARTITE),
+        (lambda: check_sep_family_obstruction(MIXED_4), NOT_TRIPARTITE),
+        (lambda: PureState((2,), {"a": 1}), "expected an array of numbers, got dict"),
+        (lambda: DensityMatrix((2,), {"a": 1}), "expected an array of numbers, got dict"),
+    ],
+    ids=[
+        "overlap-density", "overlap-array", "geodist-array", "geodist-float-config",
+        "geodist-pure-float-config", "tdist-zero-config", "tdist-array", "classify-density",
+        "conditional-entropy-density", "merging-cost-density", "obstruction-density",
+        "pure-dict", "density-dict",
+    ],
+)
+def test_states_and_configs_of_the_wrong_kind_raise_value_error(build, message):
+    # each raised AttributeError or TypeError, or passed silently
+    with pytest.raises(ValueError, match=re.escape(message)):
         build()
 
 

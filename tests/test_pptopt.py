@@ -1,6 +1,7 @@
 """Optimisers over the PPT-constrained state set."""
 
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -229,6 +230,42 @@ def test_overlap_certificate_is_a_product_vector():
                 assert abs(res.residuals["trace"] - abs(float(np.sum(abs(v) ** 2)) - 1)) <= eps
                 count += 1
     assert count == 3000
+
+
+def _outer_argsort_certificate(psi, cut):
+    """The overlap's certificate, value and gap by the formula written with
+    ``np.outer`` and ``np.argsort``: the oracle the product built from
+    ``U[:, :1] * Vh[0]`` and a Python inverse permutation must match bit for bit."""
+    dims, order = psi.dims, cut.left + cut.right
+    shape = [dims[i] for i in order]
+    M = psi.amplitudes.reshape(dims).transpose(order).reshape(math.prod(shape[: len(cut.left)]), -1)
+    U, s, Vh = np.linalg.svd(M, full_matrices=False)
+    v = np.outer(U[:, 0], Vh[0]).reshape(shape).transpose(np.argsort(order)).reshape(-1)
+    v /= math.sqrt(np.vdot(v, v).real)
+    value = min(1.0, float(abs(np.vdot(v, psi.amplitudes)) ** 2) / float(np.vdot(v, v).real))
+    return v, value, max(0.0, float(s[0]) ** 2 - value)
+
+
+@pytest.mark.parametrize(
+    "dims, left",
+    [((2, 2, 2, 2), (0, 2)), ((2, 3, 2), (1,)), ((3, 2), (1,)), ((2, 3, 4), (1, 2)),
+     ((2, 2, 2, 2), (1, 3))],
+)
+def test_overlap_certificate_on_split_and_permuted_cuts_is_the_outer_product(dims, left):
+    # a cut whose left block is not a prefix makes the certificate go
+    # through the inverse permutation of the cut order, which differs from
+    # that order for the last two cuts; real and complex targets alike
+    rng = np.random.default_rng(7)
+    cut = Bipartition.of(left, len(dims))
+    D = math.prod(dims)
+    for real in (True, False):
+        for _ in range(50):
+            a = rng.standard_normal(D) + (0 if real else 1j) * rng.standard_normal(D)
+            psi = PureState(dims, a / np.linalg.norm(a))
+            res = max_overlap_ppt(psi, cut)
+            v, value, gap = _outer_argsort_certificate(psi, cut)
+            assert res.certificate.amplitudes.tobytes() == v.tobytes()
+            assert (res.value, res.gap) == (value, gap)
 
 
 def test_overlap_of_a_product_target_is_at_most_one():

@@ -1,18 +1,20 @@
 """Hypothesis properties of the partial transpose, measures, witnesses, classifier
 (on general states and on states classical on A), the trace-distance dual bound,
 the symmetry sectors of the trace-distance program, its kernel's linear map
-and adjoint, the overlap bracket, the overlap's product certificate, and the
-exact Hermitian symmetry of every matrix the classifier and the measures hand
-to an eigen-solver.
+and adjoint, the overlap bracket, the overlap's product certificate, the
+one-pass check of a pure state's amplitudes, and the exact Hermitian symmetry
+of every matrix the classifier and the measures hand to an eigen-solver.
 
 Hypothesis draws the layouts, ranks and seeds; numpy draws the states.
 """
 
+import math
 from contextlib import contextmanager
 from functools import reduce
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -376,6 +378,115 @@ def test_overlap_certificate_meets_the_rains_bound(layout, real, seed):
     sigma = res.certificate.data
     for m in (sigma, partial_transpose_einsum(sigma, dims, left)):
         assert np.count_nonzero(np.linalg.eigvalsh(m) > 1e-12) == 1
+
+
+def _three_pass_check(dims, amplitudes):
+    """The rules of the pure-state check before it read the squared norm from
+    one vdot, kept here as the oracle: the message of the ``ValueError`` they
+    raise, or None if they accept.  Finite, then length D, then
+    ``|np.linalg.norm(v) - 1| <= 1e-12``."""
+    vec = np.asarray(amplitudes, dtype=complex).reshape(-1)
+    if not np.isfinite(vec).all():
+        return "amplitudes contain non-finite entries"
+    D = int(np.prod(dims))
+    if vec.shape != (D,):
+        return f"amplitude length {vec.shape[0]} does not match dims {dims} (D={D})"
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(vec))
+    if abs(norm - 1.0) > 1e-12:
+        return f"state vector is not normalised: |norm - 1| = {abs(norm - 1.0):.3e}"
+    return None
+
+
+def _three_squares(n):
+    """Non-negative a, b, c with a^2 + b^2 + c^2 = n, or None if there are none
+    with a within 8 of isqrt(n)."""
+    top = math.isqrt(n)
+    for a in range(top, max(top - 8, -1), -1):
+        for b in range(math.isqrt(n - a * a), -1, -1):
+            c2 = n - a * a - b * b
+            if c2 > b * b:
+                break
+            if math.isqrt(c2) ** 2 == c2:
+                return a, b, math.isqrt(c2)
+    return None
+
+
+def _exact_amplitudes(rng, length, norm):
+    """``length`` >= 2 amplitudes whose squared norm is the double nearest
+    ``norm^2`` < 2, summed without rounding.  Every real and imaginary part is
+    an integer times 2^-26 (four of them nonzero), so each product, fused or
+    not, and each partial sum is a multiple of 2^-52 below 2, and exact.  The
+    vdot and the norm of the oracle then see the same squared norm, and at a
+    norm 1e-14 or more from the 1e-12 edge no rounding can put them on
+    different sides of it or print them differently."""
+    target = round(norm * norm * 2**52)
+    top = math.isqrt(target)
+    while (rest := _three_squares(target - top * top)) is None:
+        top -= 1
+    parts = np.zeros(2 * length, dtype=np.int64)
+    parts[:4] = (top,) + rest
+    parts *= rng.choice([-1, 1], size=parts.shape)
+    rng.shuffle(parts)
+    return (parts[::2] + 1j * parts[1::2]) * 2.0**-26
+
+
+_NON_FINITE = [np.nan, np.inf, -np.inf, complex(np.inf, np.inf), complex(0, -np.inf),
+               complex(np.nan, 1), complex(1, np.nan)]
+
+
+@st.composite
+def _amplitude_draws(draw):
+    """Dims and amplitudes for the pure-state check: non-finite entries, huge
+    finite ones whose squared norm overflows, subnormal ones, lengths that
+    miss D, norms within 1e-14 of either side of the 1e-12 edge, and exact
+    unit vectors."""
+    dims = tuple(draw(st.lists(st.integers(2, 4), min_size=1, max_size=3)))
+    D = math.prod(dims)
+    length = draw(st.sampled_from([D, D, 2, D - 1, D + 1, D + 5]))
+    rng = np.random.default_rng(draw(_seeds))
+    kind = draw(st.sampled_from(["edge", "non-finite", "huge", "subnormal", "random"]))
+    if kind == "edge":
+        offset = draw(st.sampled_from([0.0, 1e-12 - 1e-14, 1e-12 + 1e-14, 1e-6, 0.25]))
+        norm = 1.0 + draw(st.sampled_from([-1, 1])) * offset
+        vec = _exact_amplitudes(rng, max(length, 2), norm)
+    elif kind == "subnormal":
+        vec = rng.uniform(-1, 1, (length, 2)) * np.finfo(float).smallest_normal
+        vec = vec[:, 0] + 1j * vec[:, 1]
+        vec[0] = draw(st.sampled_from([0.0, 1.0, 1j]))
+    else:
+        vec = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+        vec /= np.linalg.norm(vec)
+        count = draw(st.integers(1, length))
+        at = rng.choice(length, size=count, replace=False)
+        if kind == "huge":  # each entry's square overflows, and so does the sum
+            big = 10.0 ** rng.uniform(154.5, 308, count) * rng.choice([-1, 1], count)
+            if draw(st.booleans()):
+                vec.real[at] = big
+            else:
+                vec.imag[at] = big
+        elif kind == "non-finite":
+            vec[at] = [draw(st.sampled_from(_NON_FINITE)) for _ in range(count)]
+    if not vec.imag.any() and draw(st.booleans()):
+        vec = vec.real
+    return dims, vec
+
+
+@settings(max_examples=400, deadline=None)
+@given(draw=_amplitude_draws())
+def test_pure_state_check_matches_the_three_pass_rules(draw):
+    # the one-pass check accepts and rejects exactly what the earlier rules
+    # did, with the same message and the same precedence, and stores the
+    # amplitudes as given
+    dims, vec = draw
+    expected = _three_pass_check(dims, vec)
+    if expected is None:
+        psi = PureState(dims, vec)
+        assert psi.amplitudes.tobytes() == np.asarray(vec, dtype=complex).tobytes()
+    else:
+        with pytest.raises(ValueError) as raised:
+            PureState(dims, vec)
+        assert str(raised.value) == expected
 
 
 @st.composite

@@ -41,11 +41,11 @@ class SizeLimitError(ValueError):
     """An operation would exceed the configured dimension cap."""
 
 
-def _complex_array(data, copy: bool | None = None) -> np.ndarray:
+def _complex_array(data, copy: bool = False) -> np.ndarray:
     """``data`` as a complex array, a new one if ``copy``; raises ``ValueError``
     on data that numpy cannot read as numbers, such as a dict."""
     try:
-        return np.array(data, dtype=complex, copy=copy)
+        return (np.array if copy else np.asarray)(data, dtype=complex)
     except TypeError as exc:
         raise ValueError(f"expected an array of numbers, got {type(data).__name__}") from exc
 
@@ -294,7 +294,7 @@ class PureState:
             raise ValueError(
                 f"amplitude length {vec.shape[0]} does not match dims {dims} (D={D})"
             )
-        norm = math.sqrt(norm2)
+        norm = math.sqrt(norm2) if norm2 < math.inf else math.inf  # vdot overflow: inf or NaN
         if abs(norm - 1.0) > _PURE_NORM_ATOL:
             raise ValueError(f"state vector is not normalised: |norm - 1| = {abs(norm - 1.0):.3e}")
         vec.flags.writeable = False

@@ -515,8 +515,9 @@ def min_trace_distance_ppt(
     any other work.
     """
     _check_kind("rho", rho, DensityMatrix, PureState)
-    _check_kind("config", config, PptOptConfig, type(None))
-    config = config or PptOptConfig()
+    if config is None:
+        config = PptOptConfig()
+    _check_kind("config", config, PptOptConfig)
     dims = rho.dims
     _check_cut(cut, len(dims))
     D = rho.dim
@@ -569,10 +570,11 @@ def min_trace_distance_ppt(
 
 
 def _as_pure(state: PureState | DensityMatrix) -> PureState | None:
-    """The state's top eigenvector if its purity is within 1e-9 of 1, else None."""
-    _check_kind("state", state, PureState, DensityMatrix)
+    """The state's top eigenvector if its purity is within 1e-9 of 1, else None;
+    ``ValueError`` if it is neither a :class:`PureState` nor a :class:`DensityMatrix`."""
     if isinstance(state, PureState):
         return state
+    _check_kind("state", state, PureState, DensityMatrix)
     if not state.is_pure():
         return None
     _, V = np.linalg.eigh(state.data)
@@ -593,9 +595,10 @@ def geometric_distillability_ppt(
     with T the minimal trace distance to the feasible set; ``config`` tunes
     only that solver, but is checked for every input.
     """
-    _check_kind("config", config, PptOptConfig, type(None))
     pure = _as_pure(state)
     if pure is not None:
+        if config is not None:  # the mixed solver checks its own
+            _check_kind("config", config, PptOptConfig)
         res = max_overlap_ppt(pure, cut)
         value = 1.0 - math.sqrt(res.value)
         return GeoDistResult(low=value, high=value, detail=res)

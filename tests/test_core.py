@@ -431,17 +431,17 @@ NOT_TRIPARTITE = "state must be a TripartiteState, got DensityMatrix"
         ),
         (
             lambda: geometric_distillability_ppt(MIXED_4, CUT_4, config=1e-7),
-            "config must be a PptOptConfig or NoneType, got float",
+            "config must be a PptOptConfig, got float",
         ),
         # a pure input never reaches the mixed solver, and used to pass
         (
             lambda: geometric_distillability_ppt(PURE_4, CUT_4, config=1e-7),
-            "config must be a PptOptConfig or NoneType, got float",
+            "config must be a PptOptConfig, got float",
         ),
         # a falsy config used to run as the default one
         (
             lambda: min_trace_distance_ppt(MIXED_4, CUT_4, config=0),
-            "config must be a PptOptConfig or NoneType, got int",
+            "config must be a PptOptConfig, got int",
         ),
         (
             lambda: min_trace_distance_ppt(MIXED_4.data, CUT_4, PptOptConfig()),
@@ -465,6 +465,25 @@ def test_states_and_configs_of_the_wrong_kind_raise_value_error(build, message):
     # each raised AttributeError or TypeError, or passed silently
     with pytest.raises(ValueError, match=re.escape(message)):
         build()
+
+
+def test_array_data_is_read_as_numpy_1_reads_it(monkeypatch):
+    # numpy before 2.0, which pyproject still allows, rejects np.array(copy=None)
+    # and has no copy argument to np.asarray
+    array, asarray = np.array, np.asarray
+
+    def array_1x(obj, dtype=None, *, copy=True, **kwargs):
+        if copy is None:
+            raise ValueError("NoneType copy mode not allowed.")
+        return array(obj, dtype, copy=copy, **kwargs)
+
+    def asarray_1x(a, dtype=None, order=None):
+        return asarray(a, dtype, order)
+
+    monkeypatch.setattr(np, "array", array_1x)
+    monkeypatch.setattr(np, "asarray", asarray_1x)
+    assert PureState((2, 2), PHI_PLUS).amplitudes.dtype == complex
+    assert DensityMatrix((2,), [[0.5, 0], [0, 0.5]]).data.dtype == complex
 
 
 def test_pure_projector_is_capped_before_it_is_built(monkeypatch):

@@ -461,10 +461,11 @@ def _amplitude_draws(draw):
         at = rng.choice(length, size=count, replace=False)
         if kind == "huge":  # each entry's square overflows, and so does the sum
             big = 10.0 ** rng.uniform(154.5, 308, count) * rng.choice([-1, 1], count)
-            if draw(st.booleans()):
+            part = draw(st.sampled_from(["real", "imag", "both"]))
+            if part != "imag":
                 vec.real[at] = big
-            else:
-                vec.imag[at] = big
+            if part != "real":  # both huge: np.vdot gives NaN, not inf
+                vec.imag[at] = big[::-1]
         elif kind == "non-finite":
             vec[at] = [draw(st.sampled_from(_NON_FINITE)) for _ in range(count)]
     if not vec.imag.any() and draw(st.booleans()):

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DensityMatrix
+from .core import DensityMatrix, PureState, _check_kind
 
 __all__ = ["rank_of_family"]
 
@@ -41,6 +41,8 @@ def rank_of_family(states: Sequence[DensityMatrix]) -> int:
     dimension, and contain at most d^2 members.
     """
     states = list(states)
+    for k, state in enumerate(states):
+        _check_kind(f"states[{k}]", state, DensityMatrix, PureState)
     if not states:
         raise ValueError("family must contain at least one state")
     d = states[0].dim

@@ -478,6 +478,7 @@ def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
     ``keep`` must be a non-empty collection of distinct subsystem indices;
     the result retains those subsystems in their original order.
     """
+    _check_kind("rho", rho, DensityMatrix, PureState)
     keep = sorted(set(_ints(keep)))
     if not keep:
         raise ValueError("keep must name at least one subsystem")
@@ -511,5 +512,6 @@ def partial_transpose(rho: DensityMatrix, cut: Bipartition) -> np.ndarray:
     its spectrum carries the entanglement information across the cut.
     Applying the same partial transpose twice gives back ``rho.data``.
     """
+    _check_kind("rho", rho, DensityMatrix, PureState)
     _check_cut(cut, len(rho.dims))
     return _pt_array(rho.data, rho.dims, cut.left)

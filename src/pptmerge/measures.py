@@ -15,6 +15,7 @@ import numpy as np
 from .core import (
     Bipartition,
     DensityMatrix,
+    PureState,
     TripartiteState,
     _DEFAULT_TOL,
     _check_cut,
@@ -76,6 +77,7 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Entropy -sum(p log2 p) over eigenvalues above 1e-12; never negative,
     so rounding below 0 (a pure state's top eigenvalue just above 1) is
     clamped to 0."""
+    _check_kind("rho", rho, DensityMatrix, PureState)
     return max(0.0, _entropy(np.linalg.eigvalsh(rho.data)))
 
 
@@ -93,6 +95,7 @@ def conditional_entropy(state: TripartiteState) -> float:
 def mutual_information(rho: DensityMatrix, cut: Bipartition) -> float:
     """S(left) + S(right) - S(whole) across ``cut``, in bits; never negative,
     so rounding below 0 is clamped to 0."""
+    _check_kind("rho", rho, DensityMatrix, PureState)
     _check_cut(cut, len(rho.dims))
     s_left = _marginal_entropy(rho, cut.left)
     s_right = _marginal_entropy(rho, cut.right)
@@ -118,6 +121,8 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     on rank-deficient inputs.  For pure ``rho = |psi><psi|`` this reduces
     to ``sqrt(<psi|sigma|psi>)``.
     """
+    _check_kind("rho", rho, DensityMatrix, PureState)
+    _check_kind("sigma", sigma, DensityMatrix, PureState)
     if rho.dim != sigma.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
     a = _rank_factor(rho.data)
@@ -130,6 +135,8 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Half the trace norm of rho - sigma, in [0, 1]."""
+    _check_kind("rho", rho, DensityMatrix, PureState)
+    _check_kind("sigma", sigma, DensityMatrix, PureState)
     if rho.dim != sigma.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
     w = np.linalg.eigvalsh(rho.data - sigma.data)
@@ -161,6 +168,7 @@ def hashing_witness(rho: DensityMatrix, cut: Bipartition) -> WitnessValue:
     proves the state is distillable across the cut; a non-positive value
     proves nothing.
     """
+    _check_kind("rho", rho, DensityMatrix, PureState)
     _check_cut(cut, len(rho.dims))
     s_whole = _entropy(np.linalg.eigvalsh(rho.data))  # unclamped, as are the marginals
     s_left = _marginal_entropy(rho, cut.left)

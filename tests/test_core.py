@@ -21,14 +21,22 @@ from pptmerge import (
     dumps_state,
     geometric_distillability_ppt,
     ghz,
+    fidelity,
     hashing_witness,
+    is_ppt,
     loads_state,
+    log_negativity,
     max_overlap_ppt,
     merging_cost_pure,
     min_trace_distance_ppt,
+    mutual_information,
+    negativity_witness,
     partial_trace,
     partial_transpose,
+    rank_of_family,
     tensor,
+    trace_distance,
+    von_neumann_entropy,
 )
 from pptmerge import core
 from pptmerge.core import _density_with_spectrum
@@ -418,6 +426,8 @@ def test_inputs_of_the_wrong_kind_raise_value_error(build):
 CUT_4 = Bipartition((0,), (1,))
 PURE_4 = PureState((2, 2), PHI_PLUS)
 NOT_TRIPARTITE = "state must be a TripartiteState, got DensityMatrix"
+ARRAY_4 = np.eye(4) / 4
+NOT_A_STATE = "must be a DensityMatrix or PureState, got ndarray"
 
 
 @pytest.mark.parametrize(
@@ -453,12 +463,30 @@ NOT_TRIPARTITE = "state must be a TripartiteState, got DensityMatrix"
         (lambda: check_sep_family_obstruction(MIXED_4), NOT_TRIPARTITE),
         (lambda: PureState((2,), {"a": 1}), "expected an array of numbers, got dict"),
         (lambda: DensityMatrix((2,), {"a": 1}), "expected an array of numbers, got dict"),
+        # an array is no state: the entropy read its buffer as a matrix and
+        # returned 0.0, and the others raised AttributeError
+        (lambda: von_neumann_entropy(ARRAY_4), "rho " + NOT_A_STATE),
+        (lambda: mutual_information(ARRAY_4, CUT_4), "rho " + NOT_A_STATE),
+        (lambda: fidelity(ARRAY_4, MIXED_4), "rho " + NOT_A_STATE),
+        (lambda: fidelity(PURE_4, ARRAY_4), "sigma " + NOT_A_STATE),
+        (lambda: trace_distance(ARRAY_4, MIXED_4), "rho " + NOT_A_STATE),
+        (lambda: trace_distance(MIXED_4, ARRAY_4), "sigma " + NOT_A_STATE),
+        (lambda: log_negativity(ARRAY_4, CUT_4), "rho " + NOT_A_STATE),
+        (lambda: is_ppt(ARRAY_4, CUT_4), "rho " + NOT_A_STATE),
+        (lambda: hashing_witness(ARRAY_4, CUT_4), "rho " + NOT_A_STATE),
+        (lambda: negativity_witness(ARRAY_4, CUT_4), "rho " + NOT_A_STATE),
+        (lambda: partial_trace(ARRAY_4, [0]), "rho " + NOT_A_STATE),
+        (lambda: partial_transpose(ARRAY_4, CUT_4), "rho " + NOT_A_STATE),
+        (lambda: rank_of_family([MIXED_4, ARRAY_4]), "states[1] " + NOT_A_STATE),
     ],
     ids=[
         "overlap-density", "overlap-array", "geodist-array", "geodist-float-config",
         "geodist-pure-float-config", "tdist-zero-config", "tdist-array", "classify-density",
         "conditional-entropy-density", "merging-cost-density", "obstruction-density",
-        "pure-dict", "density-dict",
+        "pure-dict", "density-dict", "entropy-array", "mutual-information-array",
+        "fidelity-rho-array", "fidelity-sigma-array", "trace-distance-rho-array",
+        "trace-distance-sigma-array", "log-negativity-array", "is-ppt-array", "hashing-array",
+        "negativity-array", "partial-trace-array", "partial-transpose-array", "bloch-rank-array",
     ],
 )
 def test_states_and_configs_of_the_wrong_kind_raise_value_error(build, message):

@@ -401,19 +401,39 @@ def test_trace_distance_dual_certifies_symmetric_states_early(rho, exact):
     # bound meet it from either side
     res = min_trace_distance_ppt(rho, cut=CUT01)
     assert res.converged and 0.0 <= res.gap <= PptOptConfig().tol
-    assert res.iterations <= 6
+    assert res.iterations <= 5
     assert abs(res.value - exact) < 1e-6
 
 
 def test_trace_distance_exits_without_a_certified_gap_are_not_converged(monkeypatch):
-    # three iterations leave a bracket far wider than tol, but both ends hold
-    monkeypatch.setattr(pptopt, "_MAX_ITERS", 3)
+    # two iterations leave a bracket far wider than tol, but both ends hold
+    monkeypatch.setattr(pptopt, "_MAX_ITERS", 2)
     rho = phi_plus().to_density()
     res = min_trace_distance_ppt(rho, CUT01)
-    assert res.iterations == 3
+    assert res.iterations == 2
     assert not res.converged and res.gap > 1e3 * TOL
     assert res.value - res.gap <= 0.5 <= res.value + 1e-12
     assert res.value == trace_distance(rho, res.certificate)
+
+
+def test_a_rounding_floor_exit_before_any_score_certifies_the_last_good_point(monkeypatch):
+    # the kernel scores no point until its own gap is near tol; a Cholesky
+    # failure after the first step then leaves it the start to score
+    cholesky, calls = np.linalg.cholesky, []
+
+    def failing_after_the_start(a):
+        calls.append(a.shape)
+        if len(calls) > 1:
+            raise np.linalg.LinAlgError("not positive definite")
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", failing_after_the_start)
+    rho = phi_plus().to_density()
+    res = min_trace_distance_ppt(rho, CUT01)
+    assert len(calls) == 2 and res.iterations == 1
+    assert not res.converged and res.gap > TOL
+    assert res.value == trace_distance(rho, res.certificate)
+    assert res.value - res.gap <= 0.5 <= res.value + 1e-12
 
 
 def test_a_tol_below_the_rounding_floor_stops_instead_of_raising():

@@ -1,7 +1,7 @@
 """Hypothesis properties of the partial transpose, measures, witnesses, classifier
 (on general states and on states classical on A), the trace-distance dual bound,
-the symmetry sectors of the trace-distance program, its kernel's linear map
-and adjoint, the overlap bracket, the overlap's product certificate, the
+the symmetry sectors of the trace-distance program, its kernel's start, linear
+map and adjoint, the overlap bracket, the overlap's product certificate, the
 one-pass check of a pure state's amplitudes, and the exact Hermitian symmetry
 of every matrix the classifier and the measures hand to an eigen-solver.
 
@@ -203,6 +203,43 @@ def test_trace_distance_kernel_certifies_mixed_states_in_few_iterations(
     sigma = sigma.reshape([dims[i] for i in order] * 2).transpose([*back, *(back + n)])
     sigma = DensityMatrix(dims, sigma.reshape(D, D))
     assert res.value - res.gap <= trace_distance(rho, sigma) + 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims=st.sampled_from([(2, 2), (2, 3), (3, 3), (2, 2, 2)]),
+    real=st.booleans(),
+    sectors=st.booleans(),
+    data=st.data(),
+    seed=_seeds,
+)
+def test_trace_distance_kernel_starts_a_margin_inside_every_cone(dims, real, sectors, data, seed):
+    # the start blocks P - rho + I/D, P, I/D and (I/D)^Gamma, with
+    # P = (rho - I/D)_+ + I/(10 D), are each at least I/(10 D), for states
+    # of every rank; with sectors, rho is pinched by the charge sum_s c_s[i_s]
+    # of a torus of local diagonal unitaries, so the kernel keeps fewer entries
+    D = int(np.prod(dims))
+    rank = data.draw(st.integers(1, D), label="rank")
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((D, rank)) + (0 if real else 1j) * rng.standard_normal((D, rank))
+    m = a @ a.conj().T
+    if sectors:
+        charge = reduce(np.add.outer, [rng.integers(0, 3, d) for d in dims]).reshape(-1)
+        m = m * (charge[:, None] == charge[None, :])
+    rho = DensityMatrix(dims, m / np.trace(m).real)
+    kernel, starts = pptopt._interior_point, []
+
+    def recording_kernel(coords, C, b, z, *rest):
+        starts.append(C + coords.lin(z))
+        return kernel(coords, C, b, z, *rest)
+
+    with mock.patch.object(pptopt, "_interior_point", recording_kernel):
+        min_trace_distance_ppt(rho, Bipartition.of((0,), len(dims)))
+    least = np.linalg.eigvalsh(starts[0])[:, 0]
+    assert least.min() >= 1.0 / (10 * D) - 1e-12
+    # and Tr P is 1/10 above its least value T(rho, I/D) for sigma = I/D
+    centre = DensityMatrix(dims, np.eye(D) / D)
+    assert abs(np.trace(starts[0][1]).real - trace_distance(rho, centre) - 0.1) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)

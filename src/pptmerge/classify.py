@@ -100,13 +100,17 @@ class ClassificationReport:
 
 class _Spectra(NamedTuple):
     """What the criteria read off the spectra of ABC, A, BC, C, AC and the AB:C
-    partial transpose, each computed once per state."""
+    partial transpose, each computed once per state, and the A-blocks the
+    separable-family obstruction reads when the state is classical on A."""
 
     conditional_entropy: float
     hashing_a_bc: float
     log_negativity_ab_c: float
     min_pt_eigenvalue: float
     fidelity_lower_bound: float
+    # for a state exactly classical on A: its unnormalised A-blocks (dA, m, m)
+    # and their B:C partial-transpose spectra (dA, m), ascending; else None
+    a_blocks_pt: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def _a_blocks(state: TripartiteState) -> tuple[np.ndarray, np.ndarray, tuple[int, int, int]]:
@@ -135,7 +139,8 @@ def _spectra(state: TripartiteState) -> _Spectra:
     the two stacks give the same spectra.
     """
     arr, blocks, (da, db, dc) = _a_blocks(state)
-    if np.count_nonzero(arr) == np.count_nonzero(blocks):
+    classical = np.count_nonzero(arr) == np.count_nonzero(blocks)
+    if classical:
         stack, inner = blocks, (1, db, dc)
     else:
         stack, inner = arr.reshape(1, da * db * dc, -1), (da, db, dc)
@@ -159,6 +164,8 @@ def _spectra(state: TripartiteState) -> _Spectra:
         # I(A:C) - I(A:BC) <= 0, in which S(A) cancels; rounding can lift it
         # above 0, so the bound is clamped at 1
         fidelity_lower_bound=min(1.0, float(2.0 ** (0.5 * (s_c - s_ac - s_bc + s_abc)))),
+        # with A' one-dimensional, the AB:C partial transpose of a block is its B:C one
+        a_blocks_pt=(blocks, pt) if classical else None,
     )
 
 
@@ -171,7 +178,9 @@ def _vanishing_ppt(sp: _Spectra, tol: float) -> bool | None:
 _OBSTRUCTION = "A-diagonal mixture of B:C-separable qubit pairs with full Bloch rank"
 
 
-def check_sep_family_obstruction(state: TripartiteState, tol: float = _DEFAULT_TOL) -> CriterionResult:
+def check_sep_family_obstruction(
+    state: TripartiteState, tol: float = _DEFAULT_TOL, *, _a_blocks_pt: tuple | None = None
+) -> CriterionResult:
     """Detect the classically flagged separable structure that blocks merging.
 
     Looks for rho = sum_i p_i |i><i|_A (x) sigma_i_BC with A a register of
@@ -184,6 +193,13 @@ def check_sep_family_obstruction(state: TripartiteState, tol: float = _DEFAULT_T
     witness.  The da diagonal blocks of the validated state, divided by
     their weights, are checked as one (da, 4, 4) stack: one batched PPT
     spectrum and one Bloch-rank SVD.
+
+    ``_a_blocks_pt`` is private to :func:`classify`, which passes the
+    A-blocks of a state exactly classical on A and their B:C
+    partial-transpose spectra from its one spectral pass.  The check then
+    reads the PPT test off those spectra, each divided by its block's
+    weight, and runs no eigendecomposition.  It never changes the result,
+    except by rounding in a least eigenvalue that sits exactly at -tol.
     """
     _check_kind("state", state, TripartiteState)
     _check_tol(tol)
@@ -194,13 +210,21 @@ def check_sep_family_obstruction(state: TripartiteState, tol: float = _DEFAULT_T
         and dims[b[0]] == dims[c[0]] == 2
         and SEP_FAMILY_BLOCKS <= math.prod(dims[i] for i in state.a_indices) <= 16
     ):
-        arr, blocks, (da, _, _) = _a_blocks(state)
-        off = arr.copy()
-        off[range(da), :, range(da), :] = 0.0
+        if _a_blocks_pt is None:
+            arr, blocks, (da, _, _) = _a_blocks(state)
+            off = arr.copy()
+            off[range(da), :, range(da), :] = 0.0
+            pt, block_diagonal = None, float(np.abs(off).max()) <= tol
+        else:
+            (blocks, pt), block_diagonal = _a_blocks_pt, True
         weights = np.trace(blocks, axis1=1, axis2=2).real
-        if float(np.abs(off).max()) <= tol and weights.min() >= _OBSTRUCTION_WEIGHT_FLOOR:
+        if block_diagonal and weights.min() >= _OBSTRUCTION_WEIGHT_FLOOR:
             blocks = blocks / weights[:, None, None]
-            if np.linalg.eigvalsh(_pt_array(blocks, (2, 2), (0,)))[:, 0].min() >= -tol:
+            if pt is None:
+                least = np.linalg.eigvalsh(_pt_array(blocks, (2, 2), (0,)))[:, 0]
+            else:
+                least = pt[:, 0] / weights
+            if least.min() >= -tol:
                 rank = _family_rank(blocks)
                 holds, witness = bool(rank == SEP_FAMILY_BLOCKS), float(rank)
     return CriterionResult("separable_family_obstruction", holds, witness, _OBSTRUCTION)
@@ -257,7 +281,9 @@ _CRITERIA = {
     # Called by its module-level name, so that a wrapper put there sees it.
     "separable_family_obstruction": (
         _OBSTRUCTION,
-        lambda state, sp, tol: _holds_witness(check_sep_family_obstruction(state, tol)),
+        lambda state, sp, tol: _holds_witness(
+            check_sep_family_obstruction(state, tol, _a_blocks_pt=sp.a_blocks_pt)
+        ),
         (True, NO_PERFECT_MERGE),
     ),
 }
@@ -279,6 +305,11 @@ def merging_cost_pure(state: TripartiteState, atol: float = _DEFAULT_TOL) -> flo
 
 def classify(state: TripartiteState, tol: float = _DEFAULT_TOL) -> ClassificationReport:
     """Run every criterion and combine them into a single verdict.
+
+    The six spectra every criterion reads are computed once.  On a state
+    exactly classical on A they are taken block by block, and the
+    separable-family obstruction reads its blocks' B:C partial-transpose
+    spectra from that pass rather than decomposing them again.
 
     Raises :class:`InconsistentCriteriaError` when the perfect and
     vanishing criteria both certify, which no state can do.

@@ -126,11 +126,13 @@ def sep_no_merge_family(seed: int) -> TripartiteState:
     that contract: attempt k seeds ``default_rng(seed + k)``, each block
     draws its Dirichlet weights and then its kets (see
     :func:`_separable_blocks`), and the flag weights come last.  Raises
-    ``ValueError`` on a seed that is not an integer (a bool included), and
-    :class:`GenerationError` if no attempt within the cap reaches full
-    Bloch rank.
+    ``ValueError`` on a seed that is not an integer (a bool included) or
+    is negative, before any draw, and :class:`GenerationError` if no
+    attempt within the cap reaches full Bloch rank.
     """
     (seed,) = _ints((seed,))
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     m = SEP_FAMILY_BLOCKS
     for attempt in range(_RETRY_CAP):
         rng = np.random.default_rng(seed + attempt)

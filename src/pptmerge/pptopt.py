@@ -99,7 +99,7 @@ class PptOptConfig:
 class PptOptResult:
     """Outcome of one optimiser call.
 
-    ``value`` is recomputed from ``certificate``, a unit-trace state in
+    ``value`` is the objective at ``certificate``, a unit-trace state in
     F(cut) up to rounding, so it is a valid one-sided bound even when
     ``converged`` is false.  ``gap`` is the distance from ``value`` to a
     certified bound on the other side, and ``converged`` means
@@ -329,7 +329,7 @@ def _interior_point(
     value: Callable[[np.ndarray], float],
     bound: Callable[[np.ndarray], float],
     tol: float,
-) -> tuple[np.ndarray, float, int]:
+) -> tuple[np.ndarray, float, float, int]:
     """Maximise ``b.z`` subject to ``S_k = C_k + L_k(z) >= 0`` for every block k.
 
     ``coords`` owns the program (:class:`_Coords`): the block layout, L,
@@ -387,8 +387,9 @@ def _interior_point(
     random 2 x 2 rank-2 states, whose gaps end at 7e-13 to 3e-10); if
     nothing was scored yet, the last pair that passed it is.  A solve
     that does neither within ``_MAX_ITERS`` iterations stops there too,
-    with its gap above ``tol``.  Returns the best dual point's blocks, the
-    best bound and the iterations taken, the failed step included.
+    with its gap above ``tol``.  Returns the best dual point's blocks, its
+    score, the best bound and the iterations taken, the failed step
+    included.
     """
     nb = len(C)
     n = nb * coords.D
@@ -458,8 +459,8 @@ def _interior_point(
         except np.linalg.LinAlgError:
             if best_S is None:
                 certify(*last)
-            return best_S, best_bound, it + 1
-    return best_S, best_bound, it
+            return best_S, best_value, best_bound, it + 1
+    return best_S, best_value, best_bound, it
 
 
 def max_overlap_ppt(psi: PureState, cut: Bipartition) -> PptOptResult:
@@ -590,7 +591,7 @@ def min_trace_distance_ppt(
     Y = np.zeros((len(blocks), D, D), coords.dtype)
     Y[1] = (V * (np.maximum(w, 0.0) + _START_MARGIN / D)) @ _dag(V)
     z = coords.adj(Y)
-    S, upper, iterations = _interior_point(
+    S, score, upper, iterations = _interior_point(
         coords, C, b, z, lambda S: -tdist(S[2]), bound, config.tol
     )
     # validated from the spectra (2, D) of the certificate and its partial
@@ -598,7 +599,9 @@ def min_trace_distance_ppt(
     cert, w = _density_with_spectrum(
         dims, S[2], lambda a: np.linalg.eigvalsh(np.stack([a, _pt_array(a, dims, cut.left)]))
     )
-    value = tdist(cert.data)
+    # the kernel scored S[2] as -T(rho, S[2]); only a certificate the check
+    # moved (clamped) is measured again
+    value = -score if np.array_equal(cert.data, S[2]) else tdist(cert.data)
     gap = value + upper
     residuals = {
         "trace": abs(float(np.trace(cert.data).real) - 1.0),

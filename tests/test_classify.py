@@ -217,11 +217,11 @@ def test_sep_family_obstruction_matches_block_oracle():
 
 def test_classify_checks_sep_family_blocks_as_one_stack(monkeypatch):
     # the state is classical on A, so the six spectra come from its 15 diagonal
-    # blocks; the obstruction check adds one batched eigvalsh of the blocks' B:C
-    # partial transposes and reads the blocks of the validated state without
-    # checking them again: no eigh, no DensityMatrix per block, and no
-    # eigendecomposition sees a matrix larger than 4x4 or one that is not
-    # exactly Hermitian
+    # blocks; the obstruction check reads the blocks' B:C partial-transpose
+    # spectra from that pass, so it adds no eigendecomposition, and it reads
+    # the blocks of the validated state without checking them again: no eigh,
+    # no DensityMatrix per block, and no eigendecomposition sees a matrix
+    # larger than 4x4 or one that is not exactly Hermitian
     state = sep_no_merge_family(11)
     seen = {"eigh": [], "eigvalsh": []}
     calls = {"density": 0}
@@ -249,7 +249,7 @@ def test_classify_checks_sep_family_blocks_as_one_stack(monkeypatch):
     assert report.verdict == NO_PERFECT_MERGE
     assert report.criteria[-1].witness == 15.0
     assert seen["eigh"] == []
-    assert len(seen["eigvalsh"]) == 7
+    assert len(seen["eigvalsh"]) == 6
     assert max(m.shape[-1] for m in seen["eigvalsh"]) <= 4
     assert all(np.array_equal(m, m.conj().swapaxes(-1, -2)) for m in seen["eigvalsh"])
     assert calls["density"] == 0
@@ -331,7 +331,9 @@ def test_verdict_on_every_combination_of_criteria(monkeypatch):
     ):
         found = CriterionResult("separable_family_obstruction", obstruction, None, "chosen")
         monkeypatch.setattr(
-            classify_mod, "check_sep_family_obstruction", lambda state, tol, r=found: r
+            classify_mod,
+            "check_sep_family_obstruction",
+            lambda state, tol, _a_blocks_pt=None, r=found: r,
         )
         rest = None  # holds of every criterion but the first, read at ce = 1
         for ce in (1.0, -1.0):  # conditional entropy: perfect False, then True

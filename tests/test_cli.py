@@ -83,6 +83,13 @@ def test_generate_rejects_unknown_family(capsys):
     capsys.readouterr()
 
 
+def test_generate_rejects_a_negative_seed(tmp_path, capsys):
+    out = tmp_path / "state.json"
+    assert main(["generate", "sep-no-merge", "--seed", "-1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
+    assert not out.exists()
+
+
 def test_generate_failure_exit_code(tmp_path, monkeypatch, capsys):
     def boom(seed):
         raise GenerationError("injected failure")

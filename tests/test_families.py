@@ -125,6 +125,18 @@ def test_sep_no_merge_family_seed_must_be_an_integer():
     assert np.array_equal(a.state.data, b.state.data)
 
 
+def test_sep_no_merge_family_rejects_a_negative_seed_before_any_draw(monkeypatch):
+    # numpy's default_rng(-1) used to fail with a bare "expected non-negative
+    # integer" that did not name the seed
+    def no_draw(*args):
+        raise AssertionError("drew before the seed check")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    for seed in (-1, np.int64(-7), -(2**70)):
+        with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed}$"):
+            sep_no_merge_family(seed)
+
+
 def test_sep_no_merge_family_retry_exhaustion(monkeypatch):
     monkeypatch.setattr(families, "_family_rank", lambda stack: 14)
     with pytest.raises(GenerationError, match="100 attempts"):

@@ -473,6 +473,25 @@ def test_trace_distance_gap_is_read_off_the_certificate(monkeypatch):
         assert abs((res.value - res.gap) - (-bounds[-1])) <= 1e-15
 
 
+def test_trace_distance_value_is_the_score_or_measured_on_a_moved_certificate(monkeypatch):
+    # value is the kernel's score of the certificate's matrix, with no
+    # eigendecomposition of its own; a certificate that validation moved (as
+    # a clamp would move it) is measured again, so value is T(rho, cert) both ways
+    density = pptopt._density_with_spectrum
+    rho = isotropic(3, 0.8)
+    plain = min_trace_distance_ppt(rho, CUT01)
+    assert plain.value == trace_distance(rho, plain.certificate)
+
+    def mixed(dims, data, spectrum):
+        D = data.shape[0]
+        return density(dims, (1.0 - 1e-6) * data + 1e-6 * np.eye(D) / D, spectrum)
+
+    monkeypatch.setattr(pptopt, "_density_with_spectrum", mixed)
+    moved = min_trace_distance_ppt(rho, CUT01)
+    assert moved.value != plain.value
+    assert moved.value == trace_distance(rho, moved.certificate)
+
+
 def test_min_trace_distance_dimension_cap():
     big = random_density(np.random.default_rng(227), (2,) * 7, rank=2)
     with pytest.raises(SizeLimitError):

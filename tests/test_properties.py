@@ -8,6 +8,7 @@ of every matrix the classifier and the measures hand to an eigen-solver.
 Hypothesis draws the layouts, ranks and seeds; numpy draws the states.
 """
 
+import importlib
 import math
 from contextlib import contextmanager
 from functools import reduce
@@ -43,7 +44,15 @@ from pptmerge import pptopt
 from pptmerge.core import _herm, _pt_array, _sectors
 from pptmerge.pptopt import _Coords
 from helpers import haar_unitary, random_density, random_separable
-from oracles import partial_transpose_einsum, report_numbers, same_torus_sector, schmidt_overlap
+from oracles import (
+    partial_transpose_einsum,
+    report_numbers,
+    same_torus_sector,
+    schmidt_overlap,
+    sep_family_obstruction,
+)
+
+classify_mod = importlib.import_module("pptmerge.classify")
 
 _seeds = st.integers(0, 2**32 - 1)
 _dims = st.sampled_from([(2, 2), (2, 3), (3, 2), (2, 2, 2), (2, 3, 2), (2, 2, 2, 2)])
@@ -671,6 +680,91 @@ def test_singular_states_classical_on_a_keep_the_block_path():
                     state = _laid_out(mat, a_dims + (db, dc), len(a_dims), position)
                     assert not _off_a_blocks(state).any(), (a_dims, db, dc, position)
                     _check_against_oracle(state, _oracle_values(state), m)
+
+
+# A's layouts over one or two subsystems, by the number of flags
+_FLAG_LAYOUTS = {15: [(15,), (3, 5), (5, 3)], 16: [(16,), (4, 4), (2, 8)]}
+
+
+@st.composite
+def _flagged_families(draw):
+    """A flag count, A's layout, each subsystem's place in the layout, the
+    off-block noise in units of tol, the last flag's weight (None for a
+    random one), whether the last flag's block is diagonal with a
+    rounding-level negative eigenvalue, whether one block is entangled, and
+    a numpy seed."""
+    flags = draw(st.sampled_from([15, 16]))
+    a_dims = draw(st.sampled_from(_FLAG_LAYOUTS[flags]))
+    return (
+        a_dims,
+        draw(st.permutations(range(len(a_dims) + 2))),
+        draw(st.sampled_from([0.0, 0.5, 2.0])),
+        draw(st.sampled_from([None, 2e-6, 5e-7])),
+        draw(st.booleans()),
+        draw(st.booleans()),
+        draw(_seeds),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(family=_flagged_families())
+def test_obstruction_in_classify_matches_a_direct_call_and_the_oracle(family):
+    # classify hands the obstruction the A-blocks and B:C partial-transpose
+    # spectra of its own pass only when the state is exactly classical on A;
+    # with off-block entries of 0.5 tol or 2 tol the check finds the blocks
+    # itself.  Either way its row must match a direct call and the oracle.
+    a_dims, position, noise, tiny, negative, entangled, seed = family
+    rng = np.random.default_rng(seed)
+    tol = 1e-9
+    da = int(np.prod(a_dims))
+    weights = rng.random(da) + 0.1
+    if tiny is not None:
+        weights[-1] = tiny * (weights.sum() - weights[-1]) / (1.0 - tiny)
+    weights /= weights.sum()
+    mat = np.zeros((4 * da, 4 * da), dtype=complex)
+    for i, w in enumerate(weights):
+        # the identity mixed in keeps every block far from singular, so the
+        # off-block noise between flags 0 and 1 leaves the state positive definite
+        block = 0.5 * random_separable(rng, 2, 2).data + 0.125 * np.eye(4)
+        mat[4 * i : 4 * i + 4, 4 * i : 4 * i + 4] = w * block
+    if entangled:  # flag 2 holds a Bell state: not PPT across B:C
+        bell = np.zeros((4, 4))
+        bell[np.ix_([0, 3], [0, 3])] = 0.5
+        mat[8:12, 8:12] = weights[2] * bell
+    if negative:
+        # w |00><00| - delta |11><11|, with delta a quarter of the eigenvalue
+        # the constructor still keeps bit for bit (D eps max|lambda|)
+        last = slice(4 * da - 4, 4 * da)
+        mat[last, last] = np.diag([weights[-1], 0.0, 0.0, 0.0])
+        delta = 0.25 * 4 * da * np.finfo(float).eps * np.linalg.eigvalsh(mat)[-1]
+        mat[4 * da - 1, 4 * da - 1] = -delta
+    if noise:
+        k, l = rng.integers(4, size=2)
+        mat[k, 4 + l] = mat[4 + l, k] = noise * tol
+    state = _laid_out(mat, a_dims + (2, 2), len(a_dims), position)
+    # validation keeps every entry as built
+    off = _off_a_blocks(state)
+    assert np.abs(off).max() == noise * tol
+    if negative:
+        assert np.linalg.eigvalsh(state.state.data)[0] < 0.0
+    passed = []
+    direct = classify_mod.check_sep_family_obstruction
+
+    def recording(*args, **kwargs):
+        passed.append(kwargs.get("_a_blocks_pt"))
+        return direct(*args, **kwargs)
+
+    with mock.patch.object(classify_mod, "check_sep_family_obstruction", recording):
+        row = classify(state, tol).criteria[-1]
+    assert row.name == "separable_family_obstruction"
+    assert [p is not None for p in passed] == [noise == 0.0]
+    want = sep_family_obstruction(
+        state.state.data, state.dims, state.a_indices, state.b_indices, state.c_indices, tol
+    )
+    alone = direct(state, tol)
+    assert (row.holds, row.witness) == (alone.holds, alone.witness) == want
+    if noise > 1.0 or entangled or tiny == 5e-7:
+        assert want == (False, None)
 
 
 @contextmanager

@@ -18,7 +18,9 @@ both the PERFECT and the VANISHING row certify is a hard error, since no
 state can do that; seeing it means a bug or a broken tolerance.
 
 :func:`classify` is the way to evaluate the criteria: it computes the six
-spectra they read once per state and reports every criterion by name in
+spectra they read once per state, in two batched eigendecompositions (ABC
+with its AB:C partial transpose, then the AC, A, BC and C marginals
+zero-padded to one size), and reports every criterion by name in
 :attr:`ClassificationReport.criteria`.
 """
 
@@ -32,9 +34,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .bloch import _family_rank
-from .core import TripartiteState, _DEFAULT_TOL, _check_kind, _check_tol, _pt_array, _ptrace_array
+from .core import TripartiteState, _DEFAULT_TOL, _check_kind, _check_tol, _pt_array
 from .families import SEP_FAMILY_BLOCKS
-from .measures import _entropy, conditional_entropy
+from .measures import _entropies, _padded_eigvalsh, conditional_entropy
 
 __all__ = [
     "PERFECT",
@@ -127,35 +129,42 @@ def _a_blocks(state: TripartiteState) -> tuple[np.ndarray, np.ndarray, tuple[int
 
 
 def _spectra(state: TripartiteState) -> _Spectra:
-    """The six spectra, from a stack of blocks whose direct sum is rho.
+    """The six spectra, from a stack of blocks whose direct sum is rho, in two
+    batched eigendecompositions.
 
     If every entry of rho outside its dA diagonal blocks (A, B, C order) is
     exactly zero, the state is classical on A and the stack is those blocks,
     each on (A', B, C) with dims (1, dB, dC).  Otherwise it is the single
     block rho on (dA, dB, dC).  The AB:C partial transpose and the A and AC
-    marginals act block by block, the BC marginal is the trace over A (the
-    sum of the blocks), and each entropy is taken over the union of the
-    block eigenvalues.  Zero means exactly zero: there is no tolerance, and
-    the two stacks give the same spectra.
+    marginals act block by block, and the BC marginal is the trace over A
+    (the sum of the blocks).  Zero means exactly zero: there is no
+    tolerance, and the two stacks give the same spectra.
+
+    The first ``eigvalsh`` takes the stack and its partial transpose, which
+    have the same size; the second takes the AC, A, BC and C marginals,
+    zero-padded to the largest of them.  All five entropies are then read
+    in one pass, each over the union of its blocks' eigenvalues.
     """
     arr, blocks, (da, db, dc) = _a_blocks(state)
     classical = np.count_nonzero(arr) == np.count_nonzero(blocks)
     if classical:
-        stack, inner = blocks, (1, db, dc)
+        stack, a = blocks, 1
     else:
-        stack, inner = arr.reshape(1, da * db * dc, -1), (da, db, dc)
-
-    def entropy(matrices: np.ndarray) -> float:
-        return _entropy(np.linalg.eigvalsh(matrices))
-
-    s_abc = entropy(stack)
-    ac = _ptrace_array(stack, inner, (0, 2))
-    s_ac = entropy(ac)
-    s_a = entropy(_ptrace_array(ac, inner[::2], (0,)))
-    bc = np.trace(arr, axis1=0, axis2=2)
-    s_bc = entropy(bc)
-    s_c = entropy(_ptrace_array(bc, inner[1:], (1,)))
-    pt = np.linalg.eigvalsh(_pt_array(stack, inner, (0, 1)))
+        stack, a = arr.reshape(1, da * db * dc, -1), da
+    k = len(stack)
+    whole = np.linalg.eigvalsh(np.concatenate((stack, _pt_array(stack, (a, db, dc), (0, 1)))))
+    pt = whole[k:]
+    ac = np.trace(stack.reshape(k, a, db, dc, a, db, dc), axis1=2, axis2=5)
+    bc = np.trace(arr, axis1=0, axis2=2).reshape(db, dc, db, dc)
+    s_abc, s_ac, s_a, s_bc, s_c = _entropies(
+        whole[:k],
+        *_padded_eigvalsh(
+            ac.reshape(k, a * dc, a * dc),
+            np.trace(ac, axis1=2, axis2=4),
+            bc.reshape(db * dc, db * dc),
+            np.trace(bc, axis1=0, axis2=2),
+        ),
+    )
     return _Spectra(
         conditional_entropy=s_bc - s_c,
         hashing_a_bc=max(s_a - s_abc, s_bc - s_abc),
@@ -306,10 +315,12 @@ def merging_cost_pure(state: TripartiteState, atol: float = _DEFAULT_TOL) -> flo
 def classify(state: TripartiteState, tol: float = _DEFAULT_TOL) -> ClassificationReport:
     """Run every criterion and combine them into a single verdict.
 
-    The six spectra every criterion reads are computed once.  On a state
-    exactly classical on A they are taken block by block, and the
+    The six spectra every criterion reads are computed once, in two
+    batched eigendecompositions: ABC with its AB:C partial transpose, and
+    the AC, A, BC and C marginals zero-padded to the largest of them.  On a
+    state exactly classical on A they are taken block by block, and the
     separable-family obstruction reads its blocks' B:C partial-transpose
-    spectra from that pass rather than decomposing them again.
+    spectra from the first call rather than decomposing them again.
 
     Raises :class:`InconsistentCriteriaError` when the perfect and
     vanishing criteria both certify, which no state can do.

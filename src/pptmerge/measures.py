@@ -7,6 +7,7 @@ the true quantity the number sits on.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -60,17 +61,37 @@ class WitnessValue:
             raise ValueError(f"unknown direction {self.direction!r}")
 
 
-def _entropy(w: np.ndarray) -> float:
-    """-sum(p log2 p) over the eigenvalues above 1e-12, of any shape: the
-    eigenvalues of a stack of blocks give the entropy of their direct sum."""
-    w = w[w > _ENTROPY_EIG_CUTOFF]
-    return float(-np.sum(w * np.log2(w)))
+def _entropies(*spectra: np.ndarray) -> list[float]:
+    """-sum(p log2 p) over the eigenvalues above 1e-12 of each array, all in
+    one pass.  An array of any shape gives the entropy of the direct sum of
+    the blocks it holds the eigenvalues of, and the exact zeros that
+    :func:`_padded_eigvalsh` adds fall below the cutoff."""
+    offsets = list(itertools.accumulate((s.size for s in spectra[:-1]), initial=0))
+    w = np.concatenate([s.ravel() for s in spectra])
+    w = np.where(w > _ENTROPY_EIG_CUTOFF, w, 1.0)  # a term 1 log2 1 = 0 drops it
+    return (-np.add.reduceat(w * np.log2(w), offsets)).tolist()
 
 
-def _marginal_entropy(rho: DensityMatrix, keep: Sequence[int]) -> float:
-    """Entropy of the marginal on ``keep``, built without DensityMatrix validation:
-    the marginal of a valid state is valid, and validating costs an extra spectrum."""
-    return _entropy(np.linalg.eigvalsh(_ptrace_array(rho.data, rho.dims, keep)))
+def _padded_eigvalsh(*stacks: np.ndarray) -> list[np.ndarray]:
+    """The spectra of stacks of Hermitian matrices (..., n, n), n differing
+    between stacks, from one ``eigvalsh`` call: each matrix is zero-padded
+    to the largest n, which adds exact zeros to its spectrum.  Returns each
+    stack's eigenvalues as (matrices, largest n) rows, ascending."""
+    rows = [s.reshape(-1, *s.shape[-2:]) for s in stacks]
+    n = max(r.shape[-1] for r in rows)
+    bounds = list(itertools.accumulate(map(len, rows), initial=0))
+    padded = np.zeros((bounds[-1], n, n), np.result_type(*rows))
+    for r, i, j in zip(rows, bounds, bounds[1:]):
+        padded[i:j, : r.shape[-1], : r.shape[-1]] = r
+    w = np.linalg.eigvalsh(padded)
+    return [w[i:j] for i, j in zip(bounds, bounds[1:])]
+
+
+def _marginal_spectra(rho: DensityMatrix, *keeps: Sequence[int]) -> list[np.ndarray]:
+    """Spectra of the marginals on each of ``keeps``, from one padded call and
+    built without DensityMatrix validation: the marginal of a valid state is
+    valid, and validating costs an extra spectrum."""
+    return _padded_eigvalsh(*(_ptrace_array(rho.data, rho.dims, keep) for keep in keeps))
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
@@ -78,7 +99,8 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     so rounding below 0 (a pure state's top eigenvalue just above 1) is
     clamped to 0."""
     _check_kind("rho", rho, DensityMatrix, PureState)
-    return max(0.0, _entropy(np.linalg.eigvalsh(rho.data)))
+    (s,) = _entropies(np.linalg.eigvalsh(rho.data))
+    return max(0.0, s)
 
 
 def conditional_entropy(state: TripartiteState) -> float:
@@ -88,8 +110,9 @@ def conditional_entropy(state: TripartiteState) -> float:
     without spoiling correlations with A; see :mod:`pptmerge.classify`.
     """
     _check_kind("state", state, TripartiteState)
-    s_bc = _marginal_entropy(state.state, state.b_indices + state.c_indices)
-    return s_bc - _marginal_entropy(state.state, state.c_indices)
+    bc, c = state.b_indices + state.c_indices, state.c_indices
+    s_bc, s_c = _entropies(*_marginal_spectra(state.state, bc, c))
+    return s_bc - s_c
 
 
 def mutual_information(rho: DensityMatrix, cut: Bipartition) -> float:
@@ -97,9 +120,10 @@ def mutual_information(rho: DensityMatrix, cut: Bipartition) -> float:
     so rounding below 0 is clamped to 0."""
     _check_kind("rho", rho, DensityMatrix, PureState)
     _check_cut(cut, len(rho.dims))
-    s_left = _marginal_entropy(rho, cut.left)
-    s_right = _marginal_entropy(rho, cut.right)
-    return max(0.0, s_left + s_right - _entropy(np.linalg.eigvalsh(rho.data)))
+    s_whole, s_left, s_right = _entropies(
+        np.linalg.eigvalsh(rho.data), *_marginal_spectra(rho, cut.left, cut.right)
+    )
+    return max(0.0, s_left + s_right - s_whole)
 
 
 def _rank_factor(matrix: np.ndarray) -> np.ndarray:
@@ -170,9 +194,10 @@ def hashing_witness(rho: DensityMatrix, cut: Bipartition) -> WitnessValue:
     """
     _check_kind("rho", rho, DensityMatrix, PureState)
     _check_cut(cut, len(rho.dims))
-    s_whole = _entropy(np.linalg.eigvalsh(rho.data))  # unclamped, as are the marginals
-    s_left = _marginal_entropy(rho, cut.left)
-    s_right = _marginal_entropy(rho, cut.right)
+    # unclamped, unlike von_neumann_entropy
+    s_whole, s_left, s_right = _entropies(
+        np.linalg.eigvalsh(rho.data), *_marginal_spectra(rho, cut.left, cut.right)
+    )
     return WitnessValue(
         value=max(s_left - s_whole, s_right - s_whole),
         direction="lower_bound",

@@ -217,11 +217,12 @@ def test_sep_family_obstruction_matches_block_oracle():
 
 def test_classify_checks_sep_family_blocks_as_one_stack(monkeypatch):
     # the state is classical on A, so the six spectra come from its 15 diagonal
-    # blocks; the obstruction check reads the blocks' B:C partial-transpose
-    # spectra from that pass, so it adds no eigendecomposition, and it reads
-    # the blocks of the validated state without checking them again: no eigh,
-    # no DensityMatrix per block, and no eigendecomposition sees a matrix
-    # larger than 4x4 or one that is not exactly Hermitian
+    # blocks in two batched eigendecompositions; the obstruction check reads
+    # the blocks' B:C partial-transpose spectra from the first, so it adds
+    # none, and it reads the blocks of the validated state without checking
+    # them again: no eigh, no DensityMatrix per block, and no
+    # eigendecomposition sees a matrix larger than 4x4 or one that is not
+    # exactly Hermitian (the marginals' zero padding keeps that)
     state = sep_no_merge_family(11)
     seen = {"eigh": [], "eigvalsh": []}
     calls = {"density": 0}
@@ -249,7 +250,7 @@ def test_classify_checks_sep_family_blocks_as_one_stack(monkeypatch):
     assert report.verdict == NO_PERFECT_MERGE
     assert report.criteria[-1].witness == 15.0
     assert seen["eigh"] == []
-    assert len(seen["eigvalsh"]) == 6
+    assert len(seen["eigvalsh"]) == 2
     assert max(m.shape[-1] for m in seen["eigvalsh"]) <= 4
     assert all(np.array_equal(m, m.conj().swapaxes(-1, -2)) for m in seen["eigvalsh"])
     assert calls["density"] == 0
@@ -394,8 +395,9 @@ def test_consistency_guard_trips_on_contradiction(monkeypatch):
         classify_mod.classify(state)
 
 
-def test_classify_runs_six_eigendecompositions(monkeypatch):
-    # ABC, A, BC, C, AC and the AB:C partial transpose, each decomposed once
+def test_classify_runs_two_eigendecompositions(monkeypatch):
+    # ABC with its AB:C partial transpose in one call, and the AC, A, BC and C
+    # marginals, zero-padded to one size, in the other
     states = [ghz(), random_tripartite(np.random.default_rng(181), (2, 3, 4))]
     calls = {"n": 0}
 
@@ -411,7 +413,7 @@ def test_classify_runs_six_eigendecompositions(monkeypatch):
     for state in states:
         calls["n"] = 0
         classify(state)
-        assert calls["n"] == 6
+        assert calls["n"] == 2
 
 
 def test_witnesses_match_oracle_on_permuted_party_layouts():

@@ -16,7 +16,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pptmerge import (
@@ -45,6 +45,8 @@ from pptmerge.core import _herm, _pt_array, _sectors
 from pptmerge.pptopt import _Coords
 from helpers import haar_unitary, random_density, random_separable
 from oracles import (
+    entropy_bits,
+    partial_trace_einsum,
     partial_transpose_einsum,
     report_numbers,
     same_torus_sector,
@@ -653,6 +655,92 @@ def test_spectra_of_states_classical_on_a_match_oracle_and_a_rotation(layout):
     assert [c.holds for c in report_u.criteria] == [c.holds for c in report.criteria]
 
 
+def _straddling(rng, dims_abc, n_a, position, classical):
+    """A state diagonal in a product basis rotated on B and C and, unless
+    ``classical``, on A.  Each level of each party weighs about 1 or, with
+    probability 1/3, between 1e-14 and 1e-10, so the marginals' eigenvalues
+    fall on both sides of the 1e-12 entropy cutoff; one A level, and with it
+    one A-block, weighs exactly 0."""
+    da = int(np.prod(dims_abc[:n_a]))
+    levels = (da, *dims_abc[n_a:])
+    q = [
+        np.where(rng.random(d) < 1 / 3, 10.0 ** rng.uniform(-14, -10, d), rng.uniform(0.5, 1.5, d))
+        for d in levels
+    ]
+    q[0][rng.integers(da)] = 0.0
+    p = reduce(np.multiply.outer, q) * rng.uniform(0.5, 1.5, levels)
+    rotations = [np.eye(da) if classical else haar_unitary(rng, da)]
+    u = reduce(np.kron, rotations + [haar_unitary(rng, d) for d in levels[1:]])
+    mat = (u * (p.ravel() / p.sum())) @ u.conj().T
+    return _laid_out(mat, dims_abc, n_a, position)
+
+
+@st.composite
+def _spectra_inputs(draw):
+    """A state for the two-call spectra: a random one on a general layout, or
+    one from :func:`_straddling`, classical on A or not."""
+    seed = draw(_seeds)
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        dims, parties, rank = draw(_layouts())
+        return TripartiteState(_wishart(rng, dims, rank, draw(st.booleans())), *parties), False
+    a_dims, db, dc, position, _, _ = draw(_classical_on_a())
+    classical = draw(st.booleans())
+    return _straddling(rng, a_dims + (db, dc), len(a_dims), position, classical), classical
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_spectra_inputs())
+def test_two_call_spectra_match_the_per_matrix_oracle(case):
+    # _spectra takes ABC (or its A-blocks) with its AB:C partial transpose in
+    # one eigvalsh, and the AC, A, BC and C marginals zero-padded to one size
+    # in another; each field must match the oracle's one eigvalsh per matrix
+    state, classical = case
+    rho, dims = state.state.data, state.dims
+    a, b, c = state.a_indices, state.b_indices, state.c_indices
+    spectra = [  # ABC, AC, A, BC, C: the order in which _spectra reads them
+        np.linalg.eigvalsh(partial_trace_einsum(rho, dims, sorted(keep)))
+        for keep in (a + b + c, a + c, a, b + c, c)
+    ]
+    # an eigenvalue within 0.25% of the cutoff may cross it by rounding
+    near = np.concatenate([np.abs(np.log10(w[w > 0] / 1e-12)) for w in spectra])
+    assume(not np.any(near < 1e-3))
+    seen = []
+    entropies = classify_mod._entropies
+
+    def recording(*groups):
+        seen.append(groups)
+        return entropies(*groups)
+
+    with mock.patch.object(classify_mod, "_entropies", recording), \
+            _eigen_solver_inputs() as inputs:
+        sp = classify_mod._spectra(state)
+    assert len(inputs) == 2
+    ce, hashing, log_neg, fid = report_numbers(state)
+    least = np.linalg.eigvalsh(partial_transpose_einsum(rho, dims, a + b))[0]
+    np.testing.assert_allclose(sp[:5], [ce, hashing, log_neg, least, fid], rtol=0, atol=1e-12)
+    # no padded zero enters an entropy: each group keeps as many eigenvalues
+    # above the cutoff as the marginal has, and gives its entropy
+    (groups,) = seen
+    assert [np.count_nonzero(g > 1e-12) for g in groups] == [
+        np.count_nonzero(w > 1e-12) for w in spectra
+    ]
+    np.testing.assert_allclose(
+        entropies(*groups), [entropy_bits(w) for w in spectra], rtol=0, atol=1e-12
+    )
+    assert (sp.a_blocks_pt is not None) == classical
+    if classical:
+        da, db, dc = (int(np.prod([dims[i] for i in part])) for part in (a, b, c))
+        n, order = len(dims), [*a, *b, *c]
+        arr = rho.reshape(dims * 2).transpose(order + [n + i for i in order])
+        arr = arr.reshape(da, db * dc, da, db * dc)
+        blocks, rows = sp.a_blocks_pt
+        assert np.array_equal(blocks, arr[range(da), :, range(da), :])
+        for block, row in zip(blocks, rows):
+            want = np.linalg.eigvalsh(partial_transpose_einsum(block, (db, dc), (0,)))
+            assert want.tobytes() == row.tobytes()
+
+
 def test_one_tiny_entry_off_the_a_blocks_takes_the_single_block():
     # a 1e-300 coherence between A levels 0 and 2 breaks the exact block structure
     mat = _flags(np.random.default_rng(199), 3, 4, singular=False)
@@ -824,7 +912,7 @@ def test_classify_solves_only_bit_hermitian_matrices(layout, flags, classical, r
         state = TripartiteState(_wishart(rng, dims, rank, real), *parties)
     with _eigen_solver_inputs() as inputs:
         classify(state)
-    assert len(inputs) == 6
+    assert len(inputs) == 2
     assert all(_bit_hermitian(m) for m in inputs)
 
 
@@ -841,7 +929,8 @@ def test_measures_solve_only_bit_hermitian_matrices(dims, rank, real, data, seed
         mutual_information(rho, cut)
         trace_distance(rho, sigma)
         fidelity(rho, sigma)
-    # one spectrum each for log_negativity and trace_distance, three each for
-    # hashing_witness and mutual_information, and two eigh for fidelity
-    assert len(inputs) == 10
+    # one spectrum each for log_negativity and trace_distance, two each for
+    # hashing_witness and mutual_information (the whole state, then both
+    # marginals zero-padded to one size), and two eigh for fidelity
+    assert len(inputs) == 8
     assert all(_bit_hermitian(m) for m in inputs)

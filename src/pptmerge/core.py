@@ -456,20 +456,15 @@ def tensor(a, b):
     return DensityMatrix(dims, np.kron(a.data, b.data))
 
 
-def _ptrace_array(
-    matrix: np.ndarray, dims: Sequence[int], keep: Sequence[int]
-) -> np.ndarray:
-    """Partial trace of the last two axes; leading axes index a stack."""
+def _ptrace_array(matrix: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
+    """Partial trace of a D x D matrix over the subsystems not in ``keep``,
+    which stay in their original order: one transpose to (kept, traced)
+    order and one ``np.trace``."""
     n = len(dims)
-    lead = matrix.shape[:-2]
-    k = len(lead)
-    T = matrix.reshape(lead + tuple(dims) + tuple(dims))
-    remaining = n
-    for i in sorted(set(range(n)) - set(keep), reverse=True):
-        T = np.trace(T, axis1=k + i, axis2=k + i + remaining)
-        remaining -= 1
+    order = sorted(keep) + [i for i in range(n) if i not in keep]
     Dk = math.prod(dims[i] for i in keep)
-    return T.reshape(lead + (Dk, Dk))
+    T = matrix.reshape(tuple(dims) * 2).transpose(order + [n + i for i in order])
+    return T.reshape(Dk, len(matrix) // Dk, Dk, -1).trace(0, 1, 3)
 
 
 def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:

@@ -79,7 +79,9 @@ _MAX_ITERS = 100
 # own duality gap Tr(XS) is at most _SCORE_FROM tol (see _interior_point).
 _SCORE_FROM = 1e4
 
-# min_trace_distance_ppt starts P at (rho - I/D)_+ + _START_MARGIN I/D.
+# min_trace_distance_ppt starts at sigma = (rho + lam I) / (1 + lam D), with lam
+# = max(0, -lambda_min(rho^Gamma)) + _START_MARGIN / D, and P = (rho - sigma)_+
+# + _START_MARGIN I/D.
 _START_MARGIN = 0.1
 
 
@@ -162,7 +164,10 @@ class _Coords:
     that the Schur matrix sums over, and every array the methods work in, so
     that a solve allocates nothing large after it: freed large temporaries
     let malloc trim the heap, and each call then faulted it back in (2x the
-    time per call at D = 9).
+    time per call at D = 9).  L* reads the coordinates off each block's
+    diagonal and upper entries, and the Schur matrix writes its real
+    coordinates in one pass over its entry quadrants; neither goes through a
+    complex change of coordinates.
     """
 
     def __init__(
@@ -213,9 +218,13 @@ class _Coords:
             rows = np.r_[0:lead, D + t0 : D + t1, D + h + t0 : D + h + t1]
             self.chunks.append((lead > 0, rows))
         # two slabs for a block's gathered factors and one per group pair
-        # for its sum, sized for the largest chunk; then the Schur matrix
-        self.work = np.empty((2 + len(self.pairs), (D + 2 * min(step, h)) * size), self.dtype)
+        # for its sum, sized for the largest chunk; the real coordinates of
+        # each pair's rows; then the Schur matrix
+        most = D + 2 * min(step, h)
+        self.work = np.empty((2 + len(self.pairs), most * size), self.dtype)
+        self.out = np.empty((len(self.pairs), most, self.n))
         self.M = np.zeros((groups * self.n, groups * self.n))
+        self.W2 = math.sqrt(2.0) * self.W
 
     def lin(self, v: np.ndarray) -> np.ndarray:
         """L(v), the stack (nb, D, D) of the layout's blocks: a zero-fill, two
@@ -237,42 +246,17 @@ class _Coords:
         It reads each block's diagonal and the entries above it, and takes
         the ones below as their conjugates: the kernel's Y is Hermitian only
         up to rounding, and its own lower entries would move the solve by
-        that rounding.  So ``Re Tr(B Y_k)`` is a real inner product, folded
-        from the real parts of the diagonal and the real and imaginary parts
-        of the entries above, each twice: once for the entry and once for
-        its mirror image.  The product with W stays real: a complex one
-        rounds differently at some D (17-20 among others).
+        that rounding.  So the coordinates are ``diag @ W``, then sqrt(2) Re
+        and, unless ``real``, sqrt(2) Im of the entries above.  The product
+        with W stays real: a complex one rounds differently at some D (17-20
+        among others).
         """
         D, h = self.D, self.h
         G = Y.reshape(-1)[self.pos[:, : D + h]]
         up = [G[:, D:].real, G[:, D:].imag] if self.imag else [G[:, D:]]
-        E = np.concatenate([G[:, :D].real, *up, *up], axis=1)
-        return (self.weight.T @ self.fold(E)).reshape(-1)[1:]
-
-    def fold(self, A: np.ndarray, diagonal: bool = True, conj: bool = False) -> np.ndarray:
-        """Turn the entries along the last axis of A, in place, into the
-        coordinates that hold them, and return those as a view of A.
-
-        The entries are the diagonal (if ``diagonal``), then m above it and
-        their m mirror images below it.  Coordinate B gets
-        ``sum_e B[e] A[e]`` over the entries e, or ``sum_e conj(B[e]) A[e]``
-        if ``conj``.  The diagonal coordinates come first, then m of
-        sqrt(2) Re and, for a complex A, m of sqrt(2) Im.
-        """
-        D, s = self.D, 2**-0.5
-        lead = D if diagonal else 0
-        m = (A.shape[-1] - lead) // 2
-        above, below = A[..., lead : lead + m], A[..., lead + m :]
-        above += below
-        imag = np.iscomplexobj(A)
-        if imag:
-            below *= -2.0
-            below += above
-            below *= (-1j if conj else 1j) * s
-        above *= s
-        if diagonal:
-            A[..., :D] = A[..., :D] @ self.W
-        return A[..., : lead + (2 if imag else 1) * m]
+        E = np.concatenate([G[:, :D].real @ self.W, *up], axis=1)
+        E[:, D:] *= math.sqrt(2.0)
+        return (self.weight.T @ E).reshape(-1)[1:]
 
     def schur(self, X: np.ndarray, Sinv: np.ndarray) -> np.ndarray:
         """The Schur matrix ``M_ij = Re sum_k Tr(B_i X_k B_j Sinv_k)``, summed
@@ -282,18 +266,31 @@ class _Coords:
 
         ``Tr(E_ba X E_dc Y) = X_ac Y_db``, and reading every entry (a, b) as
         (b, a) leaves the real part over a Hermitian basis unchanged; so a
-        block's term is a Kronecker product read at the entries, and
-        :meth:`fold` turns its columns into coordinates, then its rows with
-        conjugated coefficients.  A row of the gather holds one product per
+        block's term is a Kronecker product read at the entries, with
+        ``Sinv / 2`` for Sinv.  A row of the gather holds one product per
         kept entry, D + 2h of them.  Each term is gathered once into a work
-        slab and added in place to the sum of every group pair whose groups
-        both hold its block, which starts at zero in each chunk, and the
-        folds run once over the stack of pair sums.  Rows go in chunks of
-        about ``_SCHUR_CHUNK`` entries, one chunk for every D <= 16: a whole
-        D^2 x D^2 product near ``OPT_SCHUR_CAP`` would add more to the peak
-        memory than the Schur matrix itself.
+        slab and copied or added into the sum K of every group pair whose
+        groups both hold its block.
+
+        The real coordinates come from one pass over K's quadrants, split at
+        the rows and columns of the diagonal (d), the entries above (a) and
+        their mirror images below (b).  The Re and Im rows and columns of an
+        entry read, with the 1/2 of B's two ``1/sqrt(2)`` entries in K::
+
+            Re,Re = Re(Kaa + Kab + Kba + Kbb)   Re,Im = -Im(Kaa - Kab + Kba - Kbb)
+            Im,Re = Im(Kaa + Kab - Kba - Kbb)   Im,Im = Re(Kaa - Kab - Kba + Kbb)
+
+        So the a rows become a + b and the b rows -i (a - b), in place, and
+        every row then reads ``Re(a) + Re(b)`` and ``Im(b) - Im(a)`` of its
+        columns; the diagonal rows and columns go through ``W2 = sqrt(2) W``.
+        At D = 9 (dense, complex) a call took 210-230 us, against 350-370 us
+        with two complex changes of coordinates and a real part.  Rows go in
+        chunks of about ``_SCHUR_CHUNK`` entries, one chunk for every
+        D <= 16: a whole D^2 x D^2 product near ``OPT_SCHUR_CAP`` would add
+        more to the peak memory than the Schur matrix itself.
         """
         D, h, n = self.D, self.h, self.n
+        half = 0.5 * Sinv
 
         def block(g, g2):
             return self.M[g * n : (g + 1) * n, g2 * n : (g2 + 1) * n]
@@ -301,20 +298,37 @@ class _Coords:
         for diagonal, rows in self.chunks:
             size = rows.size * (D + 2 * h)
             term = self.work[0, :size].reshape(rows.size, -1)
-            Yc = self.work[1, :size].reshape(-1, rows.size)
+            Yc = self.work[1, :size].reshape(rows.size, -1)
             K = self.work[2:, :size].reshape(len(self.pairs), rows.size, -1)
-            K[:] = 0.0
             for k, t in enumerate(self.transposed):
                 (r, c) = self.entries[t]
                 np.take(X[k][r[rows]], r, axis=1, out=term, mode="clip")
-                np.take(Sinv[k][c], c[rows], axis=1, out=Yc, mode="clip")
-                np.multiply(term, Yc.T, out=term)
+                np.take(half[k].T[c[rows]], c, axis=1, out=Yc, mode="clip")
+                np.multiply(term, Yc, out=term)
                 for p, (_, _, on) in enumerate(self.pairs):
-                    if k in on:
+                    if k == on[0]:
+                        K[p] = term
+                    elif k in on:
                         K[p] += term
-            K = self.fold(self.fold(K).swapaxes(1, 2), diagonal, conj=True).real
+            lead = D if diagonal else 0
+            m = (rows.size - lead) // 2
+            a, b = K[:, lead : lead + m], K[:, lead + m :]
+            a += b
+            if self.imag:  # -i (a - b): its real part is Im (a - b)
+                b *= -2.0
+                b += a
+                b *= -1j
+            out = self.out[:, : rows.size if self.imag else lead + m]
+            re = K[:, : out.shape[1]].real
+            np.matmul(re[..., :D], self.W2, out=out[..., :D])
+            np.add(re[..., D : D + h], re[..., D + h :], out=out[..., D : D + h])
+            if self.imag:
+                im = K[:, : out.shape[1]].imag
+                np.subtract(im[..., D + h :], im[..., D : D + h], out=out[..., D + h :])
+            if diagonal:
+                np.matmul(self.W2.T, out[:, :D], out=out[:, :D])
             for p, (g, g2, _) in enumerate(self.pairs):
-                block(g, g2)[rows[: K.shape[2]]] = K[p].T
+                block(g, g2)[rows[: out.shape[1]]] = out[p]
         for g, g2, _ in self.pairs:
             if g != g2:
                 block(g2, g)[:] = block(g, g2).T
@@ -323,20 +337,25 @@ class _Coords:
 
 def _interior_point(
     coords: _Coords,
-    C: np.ndarray,
+    S: np.ndarray,
     b: np.ndarray,
-    z: np.ndarray,
     value: Callable[[np.ndarray], float],
     bound: Callable[[np.ndarray], float],
     tol: float,
 ) -> tuple[np.ndarray, float, float, int]:
-    """Maximise ``b.z`` subject to ``S_k = C_k + L_k(z) >= 0`` for every block k.
+    """Maximise ``b.z`` subject to ``S_k = C_k + L_k(z) >= 0`` for every block
+    k, from the slack ``S = C + L(z)`` of a strictly feasible start z.
 
     ``coords`` owns the program (:class:`_Coords`): the block layout, L,
     L^* and the Schur matrix.  The variables are its groups of ``coords.n``
     coordinates less the first, the trace of group 0, which is sigma's and
-    held fixed in ``C``.  ``z`` must be strictly feasible.  The primal is
-    ``min <C, X>`` over ``X >= 0`` with ``L^*(X) = -b``.
+    held fixed in ``C``.  The primal is ``min <C, X>`` over ``X >= 0`` with
+    ``L^*(X) = -b``.  The kernel reads neither C nor z: each step moves S by
+    its own ``dS = L(dz)``, two ``lin`` an iteration where recomputing
+    ``C + L(z)`` took a third.  ``lin`` writes exact zeros off the kept
+    entries and exact conjugates below the diagonal, and ``S + a dS`` keeps
+    both, so every S stays Hermitian bit for bit and inside the entries
+    kept (rho's sectors).
 
     Each iteration is one Mehrotra predictor-corrector step along the HKM
     direction, with Schur matrix ``M_ij = Re Tr(L_i X L_j S^-1)`` summed
@@ -351,7 +370,7 @@ def _interior_point(
     estimate the centring, keep the share 0.95.
 
     The primal starts on the central path: ``X_k = mu S_k^-1`` at the
-    starting slack ``S = C + L(z)``, with ``mu = |S|_F^2 / n``, so
+    starting slack, with ``mu = |S|_F^2 / n``, so
     ``X_k S_k = mu I`` in every block (and ``X = S`` where S is a multiple
     of I).  It reuses the Cholesky factor of S that the first iteration
     needs anyway, and X, a multiple of the Gram matrix of the inverse
@@ -363,7 +382,24 @@ def _interior_point(
     ``eigvalsh`` of those tests.  At D = 4-9 numpy's per-call overhead, not
     LAPACK, sets the time: on the traced geodist-mixed benchmark (seed 1,
     two cores) an iteration took 1.1-1.5 ms, median 1.17 ms over five
-    8 s runs, scores and the call's own work included.
+    8 s runs, scores and the call's own work included, before the Schur
+    matrix took its real coordinates in one pass.
+
+    Tried and dropped, over the 220 geodist-mixed inputs of seeds 1-10 and
+    7919 (1,192 iterations with the settings above and the start of
+    :func:`min_trace_distance_ppt`):
+
+    - one factorisation an iteration, a two-column solve of
+      ``[b, L^*(S^-1)]`` whose corrector has no second-order term: 1,850
+      iterations (2,116 against 1,363 from the start sigma = I/D);
+    - centring exponents 2 and 4 in place of 3: 1,215 and 1,263;
+    - corrector shares ``0.95 + 0.049 m``, ``0.85 + 0.149 m`` and
+      ``0.9 + 0.09 m`` (m = ``min(1, a_p, a_d)``) and a fixed 0.98:
+      1,203, 1,215, 1,298 and 1,437; predictor shares 0.9 and 1: 1,191
+      and 1,222;
+    - scipy's triangular solves, which would reuse one factor: importing
+      ``scipy.linalg`` takes about 0.2 s and 28 MB of resident memory,
+      against a 43 MB peak for the whole geodist-mixed benchmark.
 
     ``value(S)`` scores a dual point and ``bound(X)`` gives a certified
     upper bound from a positive definite primal point.  The dual points
@@ -391,12 +427,11 @@ def _interior_point(
     score, the best bound and the iterations taken, the failed step
     included.
     """
-    nb = len(C)
+    nb = len(S)
     n = nb * coords.D
 
     # centred start X = mu S^-1; with S = L L^dag and Rs = L^-1,
     # X^-1 = Rx^dag Rx for Rx = L^dag / sqrt(mu); R stacks Rs over Rx
-    S = C + coords.lin(z)
     L = np.linalg.cholesky(S)
     Rs = np.linalg.inv(L)
     mu = float(np.sum(np.abs(S) ** 2)) / n
@@ -450,8 +485,7 @@ def _interior_point(
         ap, ad = (min(1.0, gamma * a) for a in boundary(dX, dS))
         last = S, X
         X = X + ap * dX
-        z = z + ad * dz
-        S = C + coords.lin(z)
+        S = S + ad * dS
         # inverse Cholesky factors, S^-1 = Rs^dag Rs; they also prove S, X > 0,
         # and fail once the gap has reached its rounding floor
         try:
@@ -524,14 +558,20 @@ def min_trace_distance_ppt(
     the gap's rounding floor or at the fixed guard of ``_MAX_ITERS``
     iterations; only those two exits can leave ``converged`` false.
 
-    The kernel starts at sigma = I/D and
-    ``P = (rho - I/D)_+ + _START_MARGIN I/D``.  ``(rho - I/D)_+`` is the
-    least-trace P for that sigma, and the margin puts the start inside both
-    of P's cones: ``P`` and ``P - rho + I/D = (rho - I/D)_- + I/(10 D)``
-    are each at least ``I/(10 D)``.  Against the start P = I it saved 220
-    of the 1,583 iterations over the 220 geodist-mixed inputs of seeds 1-10
-    and 7919; margins of 1, 0.3, 0.03 and 0.01 gave 1,564, 1,402, 1,398
-    and 1,514.
+    The kernel starts sigma at rho's least mixture with I/D that is PPT by
+    a margin, ``sigma = (rho + lam I) / (1 + lam D)`` with
+    ``lam = max(0, -lambda_min(rho^Gamma)) + _START_MARGIN / D``, and P at
+    ``(rho - sigma)_+ + _START_MARGIN I/D``, the least-trace P for that
+    sigma moved inside both of P's cones.  Every start block is then at
+    least ``I / (10 D (1 + lam D))``: sigma and sigma^Gamma by the choice of
+    lam, and ``P`` and ``P - rho + sigma = (rho - sigma)_- + I/(10 D)`` by
+    the margin.  One batched ``eigh`` of ``rho - I/D`` and rho^Gamma gives
+    both, since ``rho - sigma = c (rho - I/D)`` with
+    ``c = lam D / (1 + lam D)``.  Over the 220 geodist-mixed inputs of
+    seeds 1-10 and 7919 the kernel took 1,192 iterations, against 1,363
+    from sigma = I/D with P = (rho - I/D)_+ + I/(10 D) and 1,583 from
+    sigma = I/D with P = I; margins of 1, 0.3, 0.2, 0.05 and 0.03 in place
+    of 0.1 gave 1,564, 1,333, 1,266, 1,202 and 1,234.
 
     sigma and P keep only the entries inside rho's symmetry sectors
     (:func:`core._sectors`), which loses nothing.  rho is fixed by a torus
@@ -584,15 +624,22 @@ def min_trace_distance_ppt(
     ones = np.zeros(coords.n)  # coordinates of I: W's column sums, +-sqrt(D) e_0 up to rounding
     ones[:D] = np.eye(D).diagonal() @ coords.W
     b = np.concatenate([np.zeros(coords.n - 1), -ones])
-    # sigma = I/D and P = (rho - I/D)_+ + margin I/D, the least-trace P for
-    # that sigma moved inside both of its cones; P's coordinates are L* of
-    # a stack that holds it in block 1, so they keep only the sectors' entries
-    w, V = np.linalg.eigh(data - eye / D)
+    # sigma = (rho + lam I) / (1 + lam D), with lam the margin I/D above
+    # rho^Gamma's least eigenvalue, and P = (rho - sigma)_+ + margin I/D, the
+    # least-trace P for that sigma moved inside both of its cones; both are
+    # read off one batched eigh, since rho - sigma = c (rho - I/D) with
+    # c = lam D / (1 + lam D).  Their coordinates are L* of a stack that
+    # holds sigma - I/D in block 2 and P in block 1, so they keep only the
+    # sectors' entries
+    shifted = data - eye / D
+    w, V = np.linalg.eigh(np.stack([shifted, _pt_array(data, dims, cut.left)]))
+    lam = max(0.0, -float(w[1, 0])) + _START_MARGIN / D
+    c = lam * D / (1.0 + lam * D)
     Y = np.zeros((len(blocks), D, D), coords.dtype)
-    Y[1] = (V * (np.maximum(w, 0.0) + _START_MARGIN / D)) @ _dag(V)
-    z = coords.adj(Y)
+    Y[1] = (V[0] * (c * np.maximum(w[0], 0.0) + _START_MARGIN / D)) @ _dag(V[0])
+    Y[2] = shifted / (1.0 + lam * D)
     S, score, upper, iterations = _interior_point(
-        coords, C, b, z, lambda S: -tdist(S[2]), bound, config.tol
+        coords, C + coords.lin(coords.adj(Y)), b, lambda S: -tdist(S[2]), bound, config.tol
     )
     # validated from the spectra (2, D) of the certificate and its partial
     # transpose, which also give its residuals

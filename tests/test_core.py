@@ -1,5 +1,6 @@
 """Containers and linear algebra primitives."""
 
+import itertools
 import json
 import re
 import warnings
@@ -354,6 +355,21 @@ def test_partial_trace_matches_einsum_oracle():
             got = partial_trace(rho, keep).data
             want = partial_trace_einsum(rho.data, dims, keep)
             np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+def test_ptrace_array_matches_einsum_oracle_on_permuted_layouts():
+    # one transpose to (kept, traced) order and one trace, for every subset
+    # of subsystems kept, named in any order, on unequal dimensions
+    rng = np.random.default_rng(23)
+    for dims in [(2, 3), (3, 2, 2), (2, 3, 2), (2, 2, 3, 2)]:
+        rho = random_density(rng, dims).data
+        n = len(dims)
+        for r in range(1, n + 1):
+            for keep in itertools.combinations(range(n), r):
+                named = tuple(rng.permutation(keep))
+                got = core._ptrace_array(rho, dims, named)
+                want = partial_trace_einsum(rho, dims, keep)
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
 
 def test_partial_trace_keep_all_and_errors():

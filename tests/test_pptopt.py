@@ -134,6 +134,39 @@ def test_schur_matrix_matches_its_definition(monkeypatch, real):
                     np.testing.assert_array_equal(got[cols, rows], got[rows, cols].T)
 
 
+@pytest.mark.parametrize("real", [False, True])
+def test_adjoint_matches_its_definition(real):
+    # L*(Y)_i sums Re Tr(B_i Y_k) over the blocks k in group i's group, with
+    # B_i^Gamma for block 3, over the basis of the entries kept, less the
+    # first coordinate; for the trace-distance layout at D = 6 with all 15
+    # entries above the diagonal, with the 4 inside sectors (0, 1, 4) and
+    # (2, 3), and with none, in the default row chunks and in chunks of 2^7
+    # and of 1 matrix entries
+    rng = np.random.default_rng(239)
+    dims = (2, 3)
+    transposed = (0, 0, 0, 1)
+    blocks = np.array([[1, 1], [0, 1], [1, 0], [1, 0]], bool)
+    g = rng.standard_normal((4, 6, 6)) + (0 if real else 1j) * rng.standard_normal((4, 6, 6))
+    Y = g + g.conj().transpose(0, 2, 1)
+    i, j = np.triu_indices(6, 1)
+    for sector in ((0,) * 6, (0, 0, 1, 1, 0, 2), range(6)):
+        inside = np.array(sector)[i] == np.array(sector)[j]
+        upper = (i[inside], j[inside])
+        for chunk in (pptopt._SCHUR_CHUNK, 2**7, 1):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(pptopt, "_SCHUR_CHUNK", chunk)
+                coords = _Coords(dims, (0,), real, upper, blocks, transposed)
+            n = coords.n
+            lin = _Coords(dims, (0,), real, upper, np.array([[0, 1], [0, 1]], bool), (0, 1)).lin
+            bases = np.stack([lin(e) for e in np.eye(2 * n - 1)[n - 1 :]], axis=1)
+            expected = np.concatenate([
+                sum(np.einsum("iab,ba->i", bases[transposed[k]], Y[k]).real
+                    for k in np.flatnonzero(blocks[:, group]))
+                for group in range(2)
+            ])[1:]
+            np.testing.assert_allclose(coords.adj(Y), expected, rtol=0, atol=1e-13)
+
+
 def test_certificates_are_unit_trace_states_feasible_to_rounding():
     # the overlap's certificate is a product of unit vectors, renormalised;
     # the trace distance's is I/D plus traceless coordinates, an iterate or
@@ -406,11 +439,12 @@ def test_trace_distance_dual_certifies_symmetric_states_early(rho, exact):
 
 
 def test_trace_distance_exits_without_a_certified_gap_are_not_converged(monkeypatch):
-    # two iterations leave a bracket far wider than tol, but both ends hold
-    monkeypatch.setattr(pptopt, "_MAX_ITERS", 2)
+    # one iteration leaves a bracket far wider than tol, but both ends hold;
+    # from the start at rho's least PPT mixture, two already close it to 5e-5
+    monkeypatch.setattr(pptopt, "_MAX_ITERS", 1)
     rho = phi_plus().to_density()
     res = min_trace_distance_ppt(rho, CUT01)
-    assert res.iterations == 2
+    assert res.iterations == 1
     assert not res.converged and res.gap > 1e3 * TOL
     assert res.value - res.gap <= 0.5 <= res.value + 1e-12
     assert res.value == trace_distance(rho, res.certificate)

@@ -1,9 +1,10 @@
 """Hypothesis properties of the partial transpose, measures, witnesses, classifier
 (on general states and on states classical on A), the trace-distance dual bound,
-the symmetry sectors of the trace-distance program, its kernel's start, linear
-map and adjoint, the overlap bracket, the overlap's product certificate, the
-one-pass check of a pure state's amplitudes, and the exact Hermitian symmetry
-of every matrix the classifier and the measures hand to an eigen-solver.
+the symmetry sectors of the trace-distance program, its kernel's start, the
+slacks it scores, its linear map and adjoint, the overlap bracket, the
+overlap's product certificate, the one-pass check of a pure state's
+amplitudes, and the exact Hermitian symmetry of every matrix the classifier
+and the measures hand to an eigen-solver.
 
 Hypothesis draws the layouts, ranks and seeds; numpy draws the states.
 """
@@ -216,6 +217,21 @@ def test_trace_distance_kernel_certifies_mixed_states_in_few_iterations(
     assert res.value - res.gap <= trace_distance(rho, sigma) + 1e-12
 
 
+def _kernel_input(dims, real, sectors, data, seed):
+    """A random state of a drawn rank; with ``sectors``, pinched by the charge
+    sum_s c_s[i_s] of a torus of local diagonal unitaries, so that the
+    trace-distance kernel keeps fewer entries."""
+    D = int(np.prod(dims))
+    rank = data.draw(st.integers(1, D), label="rank")
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((D, rank)) + (0 if real else 1j) * rng.standard_normal((D, rank))
+    m = a @ a.conj().T
+    if sectors:
+        charge = reduce(np.add.outer, [rng.integers(0, 3, d) for d in dims]).reshape(-1)
+        m = m * (charge[:, None] == charge[None, :])
+    return DensityMatrix(dims, m / np.trace(m).real)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     dims=st.sampled_from([(2, 2), (2, 3), (3, 3), (2, 2, 2)]),
@@ -225,32 +241,75 @@ def test_trace_distance_kernel_certifies_mixed_states_in_few_iterations(
     seed=_seeds,
 )
 def test_trace_distance_kernel_starts_a_margin_inside_every_cone(dims, real, sectors, data, seed):
-    # the start blocks P - rho + I/D, P, I/D and (I/D)^Gamma, with
-    # P = (rho - I/D)_+ + I/(10 D), are each at least I/(10 D), for states
-    # of every rank; with sectors, rho is pinched by the charge sum_s c_s[i_s]
+    # sigma starts at (rho + lam I) / (1 + lam D), lam = max(0, -lambda_min
+    # (rho^Gamma)) + 1/(10 D): PPT, on the segment from rho to I/D, and with
+    # P = (rho - sigma)_+ + I/(10 D) every start block P - rho + sigma, P,
+    # sigma and sigma^Gamma is at least I / (10 D (1 + lam D)), for states of
+    # every rank; with sectors, rho is pinched by the charge sum_s c_s[i_s]
     # of a torus of local diagonal unitaries, so the kernel keeps fewer entries
-    D = int(np.prod(dims))
-    rank = data.draw(st.integers(1, D), label="rank")
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((D, rank)) + (0 if real else 1j) * rng.standard_normal((D, rank))
-    m = a @ a.conj().T
-    if sectors:
-        charge = reduce(np.add.outer, [rng.integers(0, 3, d) for d in dims]).reshape(-1)
-        m = m * (charge[:, None] == charge[None, :])
-    rho = DensityMatrix(dims, m / np.trace(m).real)
+    rho = _kernel_input(dims, real, sectors, data, seed)
+    D = rho.dim
+    cut = Bipartition.of((0,), len(dims))
     kernel, starts = pptopt._interior_point, []
 
-    def recording_kernel(coords, C, b, z, *rest):
-        starts.append(C + coords.lin(z))
-        return kernel(coords, C, b, z, *rest)
+    def recording_kernel(coords, S, *rest):
+        starts.append(S.copy())
+        return kernel(coords, S, *rest)
 
     with mock.patch.object(pptopt, "_interior_point", recording_kernel):
-        min_trace_distance_ppt(rho, Bipartition.of((0,), len(dims)))
-    least = np.linalg.eigvalsh(starts[0])[:, 0]
-    assert least.min() >= 1.0 / (10 * D) - 1e-12
-    # and Tr P is 1/10 above its least value T(rho, I/D) for sigma = I/D
-    centre = DensityMatrix(dims, np.eye(D) / D)
-    assert abs(np.trace(starts[0][1]).real - trace_distance(rho, centre) - 0.1) <= 1e-12
+        min_trace_distance_ppt(rho, cut)
+    S = starts[0]
+    lam = max(0.0, -np.linalg.eigvalsh(partial_transpose_einsum(rho.data, dims, (0,)))[0])
+    lam += 1.0 / (10 * D)
+    assert np.linalg.eigvalsh(S)[:, 0].min() >= 1.0 / (10 * D * (1 + lam * D)) - 1e-12
+    # sigma^Gamma is the partial transpose of sigma bit for bit, and sigma is
+    # the mixture of rho and I/D with weight 1 / (1 + lam D) on rho
+    assert np.array_equal(S[3], _pt_array(S[2], dims, cut.left))
+    t = 1.0 / (1.0 + lam * D)
+    np.testing.assert_allclose(S[2], t * rho.data + (1 - t) * np.eye(D) / D, rtol=0, atol=1e-13)
+    # and Tr P is 1/10 above its least value T(rho, sigma) for that sigma
+    sigma = DensityMatrix(dims, S[2])
+    assert abs(np.trace(S[1]).real - trace_distance(rho, sigma) - 0.1) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dims=st.sampled_from([(2, 2), (2, 3), (3, 3), (2, 2, 2)]),
+    real=st.booleans(),
+    sectors=st.booleans(),
+    data=st.data(),
+    seed=_seeds,
+)
+def test_trace_distance_kernel_scores_bit_hermitian_slacks_inside_the_sectors(
+    dims, real, sectors, data, seed
+):
+    # the kernel moves S by L(dz) and never recomputes it from C + L(z), so
+    # every slack it scores, iterates and predictor boundary points alike
+    # (each iteration scores, with _SCORE_FROM patched), must stay Hermitian
+    # bit for bit, hold exact zeros off rho's sectors in its first three
+    # blocks and carry sigma^Gamma, bit for bit, in its fourth
+    rho = _kernel_input(dims, real, sectors, data, seed)
+    cut = Bipartition.of((0,), len(dims))
+    kernel, scored = pptopt._interior_point, []
+
+    def recording_kernel(coords, S, b, value, *rest):
+        def recording_value(S):
+            scored.append(S.copy())
+            return value(S)
+
+        return kernel(coords, S, b, recording_value, *rest)
+
+    with mock.patch.object(pptopt, "_interior_point", recording_kernel), mock.patch.object(
+        pptopt, "_SCORE_FROM", math.inf
+    ):
+        res = min_trace_distance_ppt(rho, cut)
+    assert len(scored) >= 2 * res.iterations - 1
+    sector = _sectors(rho.data, dims)
+    outside = sector[:, None] != sector[None, :]
+    for S in scored:
+        assert np.array_equal(S, S.conj().transpose(0, 2, 1))
+        assert not S[:3, outside].any()
+        assert np.array_equal(S[3], _pt_array(S[2], dims, cut.left))
 
 
 @settings(max_examples=60, deadline=None)

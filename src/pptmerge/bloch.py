@@ -40,7 +40,10 @@ def rank_of_family(states: Sequence[DensityMatrix]) -> int:
     singular value.  The family must be non-empty, share one total
     dimension, and contain at most d^2 members.
     """
-    states = list(states)
+    try:
+        states = list(states)
+    except TypeError as exc:
+        raise ValueError(f"states must be an iterable of states, got {type(states).__name__}") from exc
     for k, state in enumerate(states):
         _check_kind(f"states[{k}]", state, DensityMatrix, PureState)
     if not states:

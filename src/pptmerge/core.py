@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import reprlib
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -50,15 +51,6 @@ def _complex_array(data, copy: bool = False) -> np.ndarray:
         raise ValueError(f"expected an array of numbers, got {type(data).__name__}") from exc
 
 
-def _as_complex_matrix(data) -> np.ndarray:
-    arr = _complex_array(data)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError("matrix contains non-finite entries")
-    return arr
-
-
 def _dag(M: np.ndarray) -> np.ndarray:
     """Conjugate transpose over the last two axes, so a stack maps matrix by matrix."""
     return M.conj().swapaxes(-1, -2)
@@ -76,14 +68,16 @@ def _herm(M: np.ndarray) -> np.ndarray:
 def _unit_trace_hermitian(M: np.ndarray) -> np.ndarray:
     """(M + M^dag) / 2, after the :class:`DensityMatrix` checks that need no
     spectrum: Hermitian within 1e-10 (max entry deviation), finite and unit trace."""
-    # Huge finite entries can overflow below; the checks then fail on inf or NaN.
+    # A NaN or inf entry makes the deviation NaN (which passes) or inf (which
+    # fails), and huge finite entries can overflow; the one finite test below
+    # catches what the deviation lets through.
     with np.errstate(over="ignore", invalid="ignore"):
         dev = float(np.max(np.abs(M - _dag(M))))
         if dev > _HERMITICITY_ATOL:
             raise ValueError(f"matrix is not Hermitian: max |M - M^dag| = {dev:.3e}")
         arr = _herm(M)
         if not np.isfinite(arr.view(float)).all():
-            raise ValueError("matrix entries overflow to non-finite values")
+            raise ValueError("matrix entries are not finite, or overflow to non-finite values")
         tr = np.trace(arr).real
     if not abs(tr - 1.0) <= _TRACE_ATOL:
         raise ValueError(f"trace must be 1 within {_TRACE_ATOL:.0e}, got {float(tr)!r}")
@@ -130,7 +124,7 @@ def _ints(values) -> tuple[int, ...]:
             raise TypeError
         return tuple(operator.index(v) for v in values)
     except TypeError as exc:
-        raise ValueError(f"expected integers, got {values!r}") from exc
+        raise ValueError(f"expected integers, got {reprlib.repr(values)}") from exc
 
 
 def _sectors(data: np.ndarray, dims: Sequence[int]) -> np.ndarray:
@@ -226,7 +220,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         dims = _check_dims(self.dims)
-        arr = _as_complex_matrix(self.data)
+        arr = _complex_array(self.data)
         D = int(np.prod(dims))
         if arr.shape != (D, D):
             raise ValueError(
@@ -327,7 +321,7 @@ def _partition(blocks, n: int) -> tuple[tuple[int, ...], ...]:
     if not all(out) or sorted(sum(out, ())) != list(range(n)):
         raise ValueError(
             f"blocks must be non-empty and cover 0..{n - 1} once each, "
-            f"got {' | '.join(map(str, out))}"
+            f"got {' | '.join(map(reprlib.repr, out))}"
         )
     return out
 
@@ -421,6 +415,7 @@ class TripartiteState:
         b_indices: Sequence[int],
         c_indices: Sequence[int],
     ) -> "TripartiteState":
+        _check_kind("psi", psi, PureState)
         return cls(psi.to_density(), a_indices, b_indices, c_indices)
 
     @property

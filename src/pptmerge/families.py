@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
 
 from .bloch import _family_rank
-from .core import DensityMatrix, PureState, TripartiteState, _ints
+from .core import DensityMatrix, PureState, TripartiteState, _check_kind, _complex_array, _ints
 
 __all__ = [
     "GenerationError",
@@ -61,11 +62,11 @@ def classical_correlated() -> TripartiteState:
 
 
 def _unit(vec) -> np.ndarray:
-    v = np.asarray(vec, dtype=complex).reshape(-1)
+    v = _complex_array(vec).reshape(-1)
     if v.shape != (2,):
         raise ValueError(f"expected a qubit amplitude pair, got shape {v.shape}")
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0 or not np.isfinite(norm):
+    norm = math.sqrt(np.vdot(v, v).real)  # vdot overflows to inf, with no warning
+    if norm == 0.0 or not math.isfinite(norm):
         raise ValueError("amplitudes must be a non-zero finite vector")
     return v / norm
 
@@ -82,6 +83,7 @@ def product_pure(alpha, beta, gamma) -> TripartiteState:
 
 def product_example(psi: PureState) -> TripartiteState:
     """Bipartite pure state on A and B, with a fresh |0> qubit handed to C."""
+    _check_kind("psi", psi, PureState)
     if len(psi.dims) != 2:
         raise ValueError(f"psi must be bipartite, got dims {psi.dims}")
     vec = np.kron(psi.amplitudes, np.array([1.0, 0.0]))
@@ -174,6 +176,8 @@ def perturb(state: TripartiteState, direction: DensityMatrix, eps: float) -> Tri
     """Convex mixture (1 - eps) * state + eps * direction, same party layout,
     for a real number eps in [0, 1] (else ``ValueError``)."""
     _check_unit("eps", eps)
+    _check_kind("state", state, TripartiteState)
+    _check_kind("direction", direction, DensityMatrix, PureState)
     if direction.dims != state.dims:
         raise ValueError(
             f"direction dims {direction.dims} do not match state dims {state.dims}"

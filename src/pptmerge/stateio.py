@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DensityMatrix, PureState, TripartiteState
+from .core import DensityMatrix, PureState, TripartiteState, _check_dims, _partition
 
 __all__ = [
     "FORMAT_VERSION",
@@ -70,6 +70,15 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(f"malformed state file: {message}")
 
 
+def _field(name: str, check, *args):
+    """``check(*args)``, with the ``ValueError`` of a core rule re-raised as
+    a malformed file's error on field ``name``."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise ValueError(f"malformed state file: {name}: {exc}") from exc
+
+
 def _numbers(pairs: list) -> np.ndarray | None:
     """The pairs as an (n, 2) float array, or None unless every one is a
     ``[re, im]`` list of finite numbers; one pass over the whole list (json
@@ -111,7 +120,8 @@ def loads_state(text: str) -> StateLike:
     """
     try:
         payload = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
+    # RecursionError: nesting too deep; TypeError: not text, such as None
+    except (ValueError, TypeError, RecursionError) as exc:
         raise ValueError(f"malformed state file: invalid JSON ({exc})") from exc
     _require(isinstance(payload, dict), "top level must be an object")
     version = payload.get("format_version")
@@ -119,14 +129,7 @@ def loads_state(text: str) -> StateLike:
         type(version) is int and version == FORMAT_VERSION,
         f"unsupported format_version {version!r}",
     )
-    dims_raw = payload.get("dims")
-    _require(
-        isinstance(dims_raw, list)
-        and dims_raw
-        and all(isinstance(d, int) and not isinstance(d, bool) and d >= 2 for d in dims_raw),
-        "dims must be a non-empty list of integers >= 2",
-    )
-    dims = tuple(dims_raw)
+    dims = _field("dims", _check_dims, payload.get("dims"))
     D = math.prod(dims)
     has_matrix = "matrix" in payload
     has_amplitudes = "amplitudes" in payload
@@ -149,18 +152,11 @@ def loads_state(text: str) -> StateLike:
     _require(
         set(labels) == {"a", "b", "c"}, "labels must have exactly the keys a, b, c"
     )
-    groups = {}
-    for key in ("a", "b", "c"):
-        raw = labels[key]
-        _require(
-            isinstance(raw, list)
-            and all(isinstance(i, int) and not isinstance(i, bool) for i in raw),
-            f"labels.{key} must be a list of integers",
-        )
-        groups[key] = tuple(raw)
+    # checked before a pure state builds its projector
+    groups = _field("labels", _partition, (labels["a"], labels["b"], labels["c"]), len(dims))
     if isinstance(state, PureState):
-        return TripartiteState.from_pure(state, groups["a"], groups["b"], groups["c"])
-    return TripartiteState(state, groups["a"], groups["b"], groups["c"])
+        return TripartiteState.from_pure(state, *groups)
+    return TripartiteState(state, *groups)
 
 
 def load_state(path) -> StateLike:

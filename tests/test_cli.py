@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 import pptmerge
-from pptmerge import DIMENSION_CAP, Bipartition, TripartiteState, loads_state, save_state
+from pptmerge import DIMENSION_CAP, Bipartition, TripartiteState, dumps_state, loads_state, save_state
+from pptmerge import core
 from pptmerge.cli import main
 from pptmerge.families import GenerationError
 from helpers import random_density, random_pure
@@ -254,6 +255,22 @@ def test_classify_requires_labels(tmp_path, capsys):
     capsys.readouterr()
     assert main(["classify", str(phi)]) == 2
     assert "labels" in capsys.readouterr().err
+
+
+def test_bad_labels_exit_2_before_the_projector_is_built(tmp_path, capsys, monkeypatch):
+    # labels that cover subsystem 0 twice are malformed input: they used to
+    # reach the projector's size check first and exit 3
+    def no_outer(*args, **kwargs):
+        raise AssertionError("the projector was built before the labels were checked")
+
+    payload = json.loads(dumps_state(random_pure(np.random.default_rng(331), (2, 2, 2))))
+    payload["labels"] = {"a": [0], "b": [0], "c": [1, 2]}
+    path = tmp_path / "bad-labels.json"
+    path.write_text(json.dumps(payload))
+    monkeypatch.setattr(core, "DIMENSION_CAP", 4)
+    monkeypatch.setattr(np, "outer", no_outer)
+    assert main(["classify", str(path)]) == 2
+    assert "malformed state file: labels" in capsys.readouterr().err
 
 
 def test_classify_rejects_integer_too_large_for_a_float(tmp_path, capsys):

@@ -34,6 +34,9 @@ from pptmerge import (
     negativity_witness,
     partial_trace,
     partial_transpose,
+    perturb,
+    product_example,
+    product_pure,
     rank_of_family,
     tensor,
     trace_distance,
@@ -149,6 +152,9 @@ def test_density_matrix_rejects_non_finite():
         [[1e308, 0.0], [0.0, -1e308]],  # the Hermitian part overflows to inf + nan j
         [[0.0, 1e308], [-1e308, 0.0]],  # M - M^dag overflows
         np.diag([6e307, 6e307, 6e307]),  # the trace overflows
+        # M - M^dag is NaN, which the Hermiticity test lets through; only the
+        # finite test of the Hermitian part catches it
+        [[0.5, np.inf], [np.inf, 0.5]],
     ],
 )
 def test_density_matrix_rejects_entries_that_overflow(m):
@@ -494,6 +500,17 @@ NOT_A_STATE = "must be a DensityMatrix or PureState, got ndarray"
         (lambda: partial_trace(ARRAY_4, [0]), "rho " + NOT_A_STATE),
         (lambda: partial_transpose(ARRAY_4, CUT_4), "rho " + NOT_A_STATE),
         (lambda: rank_of_family([MIXED_4, ARRAY_4]), "states[1] " + NOT_A_STATE),
+        # each of these raised AttributeError or TypeError
+        (lambda: perturb(np.eye(8) / 8, ghz().state, 0.5), "state must be a TripartiteState, got ndarray"),
+        (lambda: perturb(ghz(), np.eye(8) / 8, 0.5), "direction " + NOT_A_STATE),
+        (lambda: product_example(np.eye(4)[0]), "psi must be a PureState, got ndarray"),
+        (lambda: product_pure({"a": 1}, (1, 0), (1, 0)), "expected an array of numbers, got dict"),
+        (
+            lambda: TripartiteState.from_pure(ghz().state, (0,), (1,), (2,)),
+            "psi must be a PureState, got DensityMatrix",
+        ),
+        (lambda: rank_of_family(3), "states must be an iterable of states, got int"),
+        (lambda: loads_state(None), "malformed state file: invalid JSON"),
     ],
     ids=[
         "overlap-density", "overlap-array", "geodist-array", "geodist-float-config",
@@ -503,6 +520,8 @@ NOT_A_STATE = "must be a DensityMatrix or PureState, got ndarray"
         "fidelity-rho-array", "fidelity-sigma-array", "trace-distance-rho-array",
         "trace-distance-sigma-array", "log-negativity-array", "is-ppt-array", "hashing-array",
         "negativity-array", "partial-trace-array", "partial-transpose-array", "bloch-rank-array",
+        "perturb-state-array", "perturb-direction-array", "product-example-array",
+        "product-pure-dict", "from-pure-density", "bloch-rank-int", "loads-none",
     ],
 )
 def test_states_and_configs_of_the_wrong_kind_raise_value_error(build, message):

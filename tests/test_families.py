@@ -71,6 +71,16 @@ def test_product_pure_has_no_correlations():
         product_pure((0.0, 0.0), (1.0, 0.0), (1.0, 0.0))
 
 
+def test_product_pure_rejects_amplitudes_whose_norm_overflows():
+    # np.linalg.norm warned "overflow encountered in dot" before raising, and
+    # pytest turns that RuntimeWarning into an error
+    for bad in [(1e308, 1e308), (1e200, 0.0), (np.inf, 0.0), (np.nan, 1.0)]:
+        with pytest.raises(ValueError, match="non-zero finite"):
+            product_pure(bad, (1.0, 0.0), (1.0, 0.0))
+    big = product_pure((1e150, 1e150), (1.0, 0.0), (1.0, 0.0))
+    np.testing.assert_allclose(big.state.data, product_pure((1, 1), (1, 0), (1, 0)).state.data, atol=1e-15)
+
+
 def test_product_example_layout():
     t = product_example(phi_plus())
     assert t.dims == (2, 2, 2)

@@ -241,6 +241,17 @@ def test_loads_rejects_bad_labels():
         loads_state(with_labels({"a": [0], "b": [1], "c": [5]}))
 
 
+def test_long_malformed_dims_and_labels_give_short_messages():
+    # core's rules name the values they reject, eliding a long list
+    dims = json.dumps({"format_version": 1, "dims": [1.5] * 10000, "amplitudes": []})
+    payload = json.loads(dumps_state(ghz()))
+    payload["labels"]["c"] = [2] * 10000
+    for text, field in [(dims, "dims"), (json.dumps(payload), "labels")]:
+        with pytest.raises(ValueError, match=f"malformed state file: {field}") as exc:
+            loads_state(text)
+        assert len(str(exc.value)) < 200
+
+
 def test_pure_file_with_labels_becomes_tripartite():
     payload = json.loads(dumps_state(random_pure(np.random.default_rng(191), (2, 2, 2))))
     payload["labels"] = {"a": [0], "b": [1], "c": [2]}

@@ -36,7 +36,7 @@ import numpy as np
 from .bloch import _family_rank
 from .core import TripartiteState, _DEFAULT_TOL, _check_kind, _check_tol, _pt_array
 from .families import SEP_FAMILY_BLOCKS
-from .measures import _entropies, _padded_eigvalsh, conditional_entropy
+from .measures import _entropies, conditional_entropy
 
 __all__ = [
     "PERFECT",
@@ -125,7 +125,7 @@ def _a_blocks(state: TripartiteState) -> tuple[np.ndarray, np.ndarray, tuple[int
     order = [i for part in parts for i in part]
     arr = state.state.data.reshape(dims + dims).transpose(order + [n + i for i in order])
     arr = arr.reshape(da, db * dc, da, db * dc)
-    return arr, np.diagonal(arr, axis1=0, axis2=2).transpose(2, 0, 1), (da, db, dc)
+    return arr, arr.diagonal(0, 0, 2).transpose(2, 0, 1), (da, db, dc)
 
 
 def _spectra(state: TripartiteState) -> _Spectra:
@@ -140,35 +140,39 @@ def _spectra(state: TripartiteState) -> _Spectra:
     (the sum of the blocks).  Zero means exactly zero: there is no
     tolerance, and the two stacks give the same spectra.
 
-    The first ``eigvalsh`` takes the stack and its partial transpose, which
-    have the same size; the second takes the AC, A, BC and C marginals,
-    zero-padded to the largest of them.  All five entropies are then read
-    in one pass, each over the union of its blocks' eigenvalues.
+    Each ``eigvalsh`` input is allocated once and written in place from
+    views.  The first holds the k blocks in rows ``:k`` and their partial
+    transposes in rows ``k:``.  The second is zero-filled and holds the AC
+    and A marginals of each block, then the BC and C marginals, each in the
+    top-left corner of a row as large as the largest of them; the padding
+    adds exact zeros to each spectrum.  All five entropies are then read in
+    one pass, each over the union of its blocks' eigenvalues.
     """
     arr, blocks, (da, db, dc) = _a_blocks(state)
     classical = np.count_nonzero(arr) == np.count_nonzero(blocks)
-    if classical:
-        stack, a = blocks, 1
-    else:
-        stack, a = arr.reshape(1, da * db * dc, -1), da
-    k = len(stack)
-    whole = np.linalg.eigvalsh(np.concatenate((stack, _pt_array(stack, (a, db, dc), (0, 1)))))
+    a, stack = (1, blocks) if classical else (da, arr.reshape(1, da * db * dc, -1))
+    k, m = len(stack), db * dc
+    both = np.empty((2 * k, a * m, a * m), complex)
+    both[:k] = stack
+    s7 = both[:k].reshape(k, a, db, dc, a, db, dc)
+    # the AB:C partial transpose swaps the A and B indices of rows and columns
+    both[k:].reshape(s7.shape)[...] = s7.transpose(0, 4, 5, 3, 1, 2, 6)
+    whole = np.linalg.eigvalsh(both)
     pt = whole[k:]
-    ac = np.trace(stack.reshape(k, a, db, dc, a, db, dc), axis1=2, axis2=5)
-    bc = np.trace(arr, axis1=0, axis2=2).reshape(db, dc, db, dc)
-    s_abc, s_ac, s_a, s_bc, s_c = _entropies(
-        whole[:k],
-        *_padded_eigvalsh(
-            ac.reshape(k, a * dc, a * dc),
-            np.trace(ac, axis1=2, axis2=4),
-            bc.reshape(db * dc, db * dc),
-            np.trace(bc, axis1=0, axis2=2),
-        ),
-    )
+    # rows :k hold the AC marginals (a dC), k:2k the A ones (a), then BC and C
+    marginals = np.zeros((2 * k + 2, max(a * dc, m), max(a * dc, m)), complex)
+    ac = marginals[:k, : a * dc, : a * dc].reshape(k, a, dc, a, dc)
+    s7.trace(0, 2, 5, out=ac)
+    ac.trace(0, 2, 4, out=marginals[k : 2 * k, :a, :a])
+    bc = marginals[2 * k, :m, :m]
+    arr.trace(0, 0, 2, out=bc)
+    bc.reshape(db, dc, db, dc).trace(0, 0, 2, out=marginals[-1, :dc, :dc])
+    w = np.linalg.eigvalsh(marginals)
+    s_abc, s_ac, s_a, s_bc, s_c = _entropies(whole[:k], w[:k], w[k : 2 * k], w[-2], w[-1])
     return _Spectra(
         conditional_entropy=s_bc - s_c,
         hashing_a_bc=max(s_a - s_abc, s_bc - s_abc),
-        log_negativity_ab_c=max(0.0, float(np.log2(np.sum(np.abs(pt))))),
+        log_negativity_ab_c=max(0.0, float(np.log2(np.abs(pt).sum()))),
         min_pt_eigenvalue=float(pt.min()),
         # I(A:C) - I(A:BC) <= 0, in which S(A) cancels; rounding can lift it
         # above 0, so the bound is clamped at 1

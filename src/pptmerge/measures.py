@@ -8,6 +8,7 @@ the true quantity the number sits on.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -22,7 +23,6 @@ from .core import (
     _check_cut,
     _check_kind,
     _check_tol,
-    _ptrace_array,
     partial_transpose,
 )
 
@@ -65,33 +65,30 @@ def _entropies(*spectra: np.ndarray) -> list[float]:
     """-sum(p log2 p) over the eigenvalues above 1e-12 of each array, all in
     one pass.  An array of any shape gives the entropy of the direct sum of
     the blocks it holds the eigenvalues of, and the exact zeros that
-    :func:`_padded_eigvalsh` adds fall below the cutoff."""
+    zero-padding a matrix adds to its spectrum fall below the cutoff."""
     offsets = list(itertools.accumulate((s.size for s in spectra[:-1]), initial=0))
     w = np.concatenate([s.ravel() for s in spectra])
     w = np.where(w > _ENTROPY_EIG_CUTOFF, w, 1.0)  # a term 1 log2 1 = 0 drops it
     return (-np.add.reduceat(w * np.log2(w), offsets)).tolist()
 
 
-def _padded_eigvalsh(*stacks: np.ndarray) -> list[np.ndarray]:
-    """The spectra of stacks of Hermitian matrices (..., n, n), n differing
-    between stacks, from one ``eigvalsh`` call: each matrix is zero-padded
-    to the largest n, which adds exact zeros to its spectrum.  Returns each
-    stack's eigenvalues as (matrices, largest n) rows, ascending."""
-    rows = [s.reshape(-1, *s.shape[-2:]) for s in stacks]
-    n = max(r.shape[-1] for r in rows)
-    bounds = list(itertools.accumulate(map(len, rows), initial=0))
-    padded = np.zeros((bounds[-1], n, n), np.result_type(*rows))
-    for r, i, j in zip(rows, bounds, bounds[1:]):
-        padded[i:j, : r.shape[-1], : r.shape[-1]] = r
-    w = np.linalg.eigvalsh(padded)
-    return [w[i:j] for i, j in zip(bounds, bounds[1:])]
-
-
-def _marginal_spectra(rho: DensityMatrix, *keeps: Sequence[int]) -> list[np.ndarray]:
-    """Spectra of the marginals on each of ``keeps``, from one padded call and
-    built without DensityMatrix validation: the marginal of a valid state is
-    valid, and validating costs an extra spectrum."""
-    return _padded_eigvalsh(*(_ptrace_array(rho.data, rho.dims, keep) for keep in keeps))
+def _marginal_spectra(rho: DensityMatrix, *keeps: Sequence[int]) -> np.ndarray:
+    """Spectra of the marginals on each of ``keeps``, as rows, from one
+    ``eigvalsh`` call.  Each marginal is written by one ``einsum`` from a
+    view of rho straight into the top-left corner of its row of a
+    zero-filled stack as large as the largest of them, so the padding adds
+    exact zeros to its spectrum.  Nothing is validated: the marginal of a
+    valid state is valid, and validating costs an extra spectrum."""
+    dims, n = rho.dims, len(rho.dims)
+    keeps = [sorted(keep) for keep in keeps]
+    sizes = [math.prod(dims[i] for i in keep) for keep in keeps]
+    stack = np.zeros((len(keeps), max(sizes), max(sizes)), complex)
+    tensor = rho.data.reshape(dims * 2)
+    for row, keep, size in zip(stack, keeps, sizes):
+        columns = [n + i if i in keep else i for i in range(n)]
+        marginal = row[:size, :size].reshape([dims[i] for i in keep] * 2)
+        np.einsum(tensor, [*range(n), *columns], keep + [n + i for i in keep], out=marginal)
+    return np.linalg.eigvalsh(stack)
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

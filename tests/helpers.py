@@ -67,6 +67,19 @@ def random_tripartite(rng, dims=(2, 2, 2), rank=None):
     return TripartiteState(rho, (0,), (1,), (2,))
 
 
+def laid_out(mat, dims_abc, n_a, position):
+    """A tripartite state from a matrix in A, B, C order, with subsystem k of
+    that order moved to ``position[k]``."""
+    n = len(dims_abc)
+    source = [0] * n
+    for k, j in enumerate(position):
+        source[j] = k
+    tensor = mat.reshape(dims_abc * 2).transpose(source + [n + k for k in source])
+    D = mat.shape[0]
+    rho = DensityMatrix(tuple(dims_abc[k] for k in source), tensor.reshape(D, D))
+    return TripartiteState(rho, position[:n_a], (position[n_a],), (position[n_a + 1],))
+
+
 def split_0_rest(n):
     return Bipartition.of((0,), n)
 

@@ -38,8 +38,13 @@ from pptmerge.classify import (
     VERDICTS,
 )
 from pptmerge.cli import main
-from helpers import haar_unitary, random_density, random_separable, random_tripartite
-from oracles import report_numbers, sep_family_obstruction
+from helpers import haar_unitary, laid_out, random_density, random_separable, random_tripartite
+from oracles import (
+    partial_trace_einsum,
+    partial_transpose_einsum,
+    report_numbers,
+    sep_family_obstruction,
+)
 
 
 def _free_merge_state():
@@ -414,6 +419,64 @@ def test_classify_runs_two_eigendecompositions(monkeypatch):
         calls["n"] = 0
         classify(state)
         assert calls["n"] == 2
+
+
+def test_classify_writes_both_eigvalsh_inputs_in_place(monkeypatch):
+    # the first input is the A, B, C-order stack (rho, or its A-blocks when
+    # every entry off them is zero) and its AB:C partial transpose, bit for
+    # bit; the second holds the AC and A marginals of each block, then the BC
+    # and C marginals, each in the top-left corner of its row, and exact zeros
+    # everywhere else
+    rng = np.random.default_rng(409)
+    weights, blocks = _family_blocks(3)
+    states = [
+        classical_correlated(),
+        ghz(),
+        # classical on A, permuted, then with A split over two subsystems
+        laid_out(_flagged(weights[:3], blocks[:3]).state.data, (3, 2, 2), 1, (2, 0, 1)),
+        laid_out(_flagged(weights[:4], blocks[:4]).state.data, (2, 2, 2, 2), 2, (0, 3, 2, 1)),
+        laid_out(random_density(rng, (2, 2, 3, 2)).data, (2, 2, 3, 2), 2, (1, 3, 0, 2)),
+        TripartiteState(random_density(rng, (2, 3, 2, 2), rank=3), (3,), (0, 2), (1,)),
+    ]
+    inputs = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(a):
+        inputs.append(a.copy())
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    seen_classical = set()
+    for state in states:
+        inputs.clear()
+        classify(state)
+        first, second = inputs
+        dims, n = state.dims, len(state.dims)
+        order = [*state.a_indices, *state.b_indices, *state.c_indices]
+        da, db, dc = (
+            int(np.prod([dims[i] for i in part]))
+            for part in (state.a_indices, state.b_indices, state.c_indices)
+        )
+        m = db * dc
+        abc = state.state.data.reshape(dims * 2).transpose(order + [n + i for i in order])
+        abc = abc.reshape(da * m, da * m)
+        a_blocks = [abc[i * m : (i + 1) * m, i * m : (i + 1) * m] for i in range(da)]
+        classical = np.count_nonzero(abc) == sum(np.count_nonzero(b) for b in a_blocks)
+        seen_classical.add(classical)
+        stack, a = (a_blocks, 1) if classical else ([abc], da)
+        pts = [partial_transpose_einsum(s, (a, db, dc), (0, 1)) for s in stack]
+        assert first.tobytes() == np.stack(stack + pts).tobytes()
+        marginals = [partial_trace_einsum(s, (a, db, dc), (0, 2)) for s in stack]
+        marginals += [partial_trace_einsum(s, (a, db, dc), (0,)) for s in stack]
+        marginals += [partial_trace_einsum(abc, (da, db, dc), keep) for keep in ((1, 2), (2,))]
+        big = max(len(x) for x in marginals)
+        assert second.shape == (len(marginals), big, big)
+        for row, marginal in zip(second, marginals):
+            size = len(marginal)
+            np.testing.assert_allclose(row[:size, :size], marginal, rtol=0, atol=1e-15)
+            row[:size, :size] = 0.0
+        assert not second.any()
+    assert seen_classical == {True, False}
 
 
 def test_witnesses_match_oracle_on_permuted_party_layouts():

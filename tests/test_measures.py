@@ -22,7 +22,7 @@ from pptmerge import (
 )
 from pptmerge.families import classical_correlated, ghz, phi_plus, product_example
 from helpers import random_density, random_pure, random_separable
-from oracles import entropy_bits
+from oracles import entropy_bits, partial_trace_einsum
 
 CUT01 = Bipartition((0,), (1,))
 
@@ -89,6 +89,45 @@ def test_conditional_entropy_signs():
         PureState((2, 2, 2), amps), (0,), (1,), (2,)
     )
     assert abs(conditional_entropy(merged_free) - (-1.0)) < 1e-9
+
+
+def test_marginals_are_written_into_one_zero_padded_stack(monkeypatch):
+    # conditional_entropy, mutual_information and hashing_witness take their
+    # marginals' spectra from one eigvalsh of a zero-filled stack: each
+    # marginal, kept subsystems in their original order, in the top-left
+    # corner of its row, and exact zeros everywhere else
+    rng = np.random.default_rng(419)
+    inputs = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(a):
+        inputs.append(a.copy())
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    for dims, a, b, c in (
+        ((2, 2, 2), (0,), (1,), (2,)),
+        ((2, 3, 4), (1,), (2,), (0,)),  # B after C: the BC keep is unsorted
+        ((2, 2, 3, 2), (1,), (0, 3), (2,)),  # the BC keep is split by A
+    ):
+        rho = random_density(rng, dims, rank=3)
+        state = TripartiteState(rho, a, b, c)
+        cut = state.cut_a_bc()
+        inputs.clear()
+        conditional_entropy(state)
+        mutual_information(rho, cut)
+        hashing_witness(rho, cut)
+        stacks = inputs[0], inputs[2], inputs[4]
+        keeps = (b + c, c), (cut.left, cut.right), (cut.left, cut.right)
+        for stack, pair in zip(stacks, keeps):
+            marginals = [partial_trace_einsum(rho.data, dims, sorted(k)) for k in pair]
+            big = max(len(x) for x in marginals)
+            assert stack.shape == (2, big, big)
+            for row, marginal in zip(stack, marginals):
+                size = len(marginal)
+                np.testing.assert_allclose(row[:size, :size], marginal, rtol=0, atol=1e-15)
+                row[:size, :size] = 0.0
+            assert not stack.any()
 
 
 def test_mutual_information_frozen_values():

@@ -10,6 +10,7 @@ Hypothesis draws the layouts, ranks and seeds; numpy draws the states.
 """
 
 import importlib
+import itertools
 import math
 from contextlib import contextmanager
 from functools import reduce
@@ -44,7 +45,7 @@ from pptmerge import (
 from pptmerge import pptopt
 from pptmerge.core import _herm, _pt_array, _sectors
 from pptmerge.pptopt import _Coords
-from helpers import haar_unitary, random_density, random_separable
+from helpers import haar_unitary, laid_out, random_density, random_separable
 from oracles import (
     entropy_bits,
     partial_trace_einsum,
@@ -627,19 +628,6 @@ def _flags(rng, da, m, singular):
     return mat / weights.sum()
 
 
-def _laid_out(mat, dims_abc, n_a, position):
-    """A tripartite state from a matrix in A, B, C order, with subsystem k of
-    that order moved to ``position[k]``."""
-    n = len(dims_abc)
-    source = [0] * n
-    for k, j in enumerate(position):
-        source[j] = k
-    tensor = mat.reshape(dims_abc * 2).transpose(source + [n + k for k in source])
-    D = mat.shape[0]
-    rho = DensityMatrix(tuple(dims_abc[k] for k in source), tensor.reshape(D, D))
-    return TripartiteState(rho, position[:n_a], (position[n_a],), (position[n_a + 1],))
-
-
 def _off_a_blocks(state):
     """The entries of the validated state outside its diagonal blocks in A."""
     dims, n = state.dims, len(state.dims)
@@ -702,8 +690,8 @@ def test_spectra_of_states_classical_on_a_match_oracle_and_a_rotation(layout):
     dims_abc = a_dims + (db, dc)
     mat = _flags(rng, da, m, singular)
     u = np.kron(haar_unitary(rng, da), np.eye(m))
-    state = _laid_out(mat, dims_abc, len(a_dims), position)
-    rotated = _laid_out(u @ mat @ u.conj().T, dims_abc, len(a_dims), position)
+    state = laid_out(mat, dims_abc, len(a_dims), position)
+    rotated = laid_out(u @ mat @ u.conj().T, dims_abc, len(a_dims), position)
     # validation keeps a state that is PSD up to rounding bit for bit, so the
     # zeros off the A blocks survive even with singular blocks
     assert not _off_a_blocks(state).any()
@@ -712,6 +700,28 @@ def test_spectra_of_states_classical_on_a_match_oracle_and_a_rotation(layout):
     report_u = _check_against_oracle(rotated, oracle, da * m)
     assert report_u.verdict == report.verdict
     assert [c.holds for c in report_u.criteria] == [c.holds for c in report.criteria]
+
+
+@settings(max_examples=40, deadline=None)
+@given(layout=_classical_on_a(), classical=st.booleans())
+def test_a_layout_changes_no_bit_of_the_report(layout, classical):
+    # classify reads rho in A, B, C order, so the same state laid out in any
+    # subsystem order that keeps A's subsystems in their order (the state
+    # stores them sorted) decomposes the same bits and reports the same bits
+    a_dims, db, dc, _, singular, seed = layout
+    rng = np.random.default_rng(seed)
+    dims_abc, n_a = a_dims + (db, dc), len(a_dims)
+    if classical:
+        mat = _flags(rng, int(np.prod(a_dims)), db * dc, singular)
+    else:
+        mat = random_density(rng, dims_abc, rank=2 if singular else None).data
+    reports = [
+        repr(classify(laid_out(mat, dims_abc, n_a, position)))
+        for position in itertools.permutations(range(len(dims_abc)))
+        if list(position[:n_a]) == sorted(position[:n_a])
+    ]
+    assert len(reports) == math.factorial(len(dims_abc)) // math.factorial(n_a)
+    assert reports == reports[:1] * len(reports)
 
 
 def _straddling(rng, dims_abc, n_a, position, classical):
@@ -731,7 +741,7 @@ def _straddling(rng, dims_abc, n_a, position, classical):
     rotations = [np.eye(da) if classical else haar_unitary(rng, da)]
     u = reduce(np.kron, rotations + [haar_unitary(rng, d) for d in levels[1:]])
     mat = (u * (p.ravel() / p.sum())) @ u.conj().T
-    return _laid_out(mat, dims_abc, n_a, position)
+    return laid_out(mat, dims_abc, n_a, position)
 
 
 @st.composite
@@ -804,7 +814,7 @@ def test_one_tiny_entry_off_the_a_blocks_takes_the_single_block():
     # a 1e-300 coherence between A levels 0 and 2 breaks the exact block structure
     mat = _flags(np.random.default_rng(199), 3, 4, singular=False)
     mat[1, 9] = 1e-300
-    state = _laid_out(mat, (3, 2, 2), 1, (0, 1, 2))
+    state = laid_out(mat, (3, 2, 2), 1, (0, 1, 2))
     off = _off_a_blocks(state)
     assert np.count_nonzero(off) == 2 and np.abs(off).max() == 0.5e-300
     _check_against_oracle(state, _oracle_values(state), 12)
@@ -824,7 +834,7 @@ def test_singular_states_classical_on_a_keep_the_block_path():
                 for _ in range(4):
                     da, m = int(np.prod(a_dims)), db * dc
                     mat = _flags(rng, da, m, singular=True)
-                    state = _laid_out(mat, a_dims + (db, dc), len(a_dims), position)
+                    state = laid_out(mat, a_dims + (db, dc), len(a_dims), position)
                     assert not _off_a_blocks(state).any(), (a_dims, db, dc, position)
                     _check_against_oracle(state, _oracle_values(state), m)
 
@@ -888,7 +898,7 @@ def test_obstruction_in_classify_matches_a_direct_call_and_the_oracle(family):
     if noise:
         k, l = rng.integers(4, size=2)
         mat[k, 4 + l] = mat[4 + l, k] = noise * tol
-    state = _laid_out(mat, a_dims + (2, 2), len(a_dims), position)
+    state = laid_out(mat, a_dims + (2, 2), len(a_dims), position)
     # validation keeps every entry as built
     off = _off_a_blocks(state)
     assert np.abs(off).max() == noise * tol
@@ -965,7 +975,7 @@ def test_classify_solves_only_bit_hermitian_matrices(layout, flags, classical, r
     if classical:
         a_dims, db, dc, position, singular, _ = flags
         mat = _flags(rng, int(np.prod(a_dims)), db * dc, singular)
-        state = _laid_out(mat.real if real else mat, a_dims + (db, dc), len(a_dims), position)
+        state = laid_out(mat.real if real else mat, a_dims + (db, dc), len(a_dims), position)
     else:
         dims, parties, rank = layout
         state = TripartiteState(_wishart(rng, dims, rank, real), *parties)

@@ -451,15 +451,20 @@ def tensor(a, b):
     return DensityMatrix(dims, np.kron(a.data, b.data))
 
 
-def _ptrace_array(matrix: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
+def _ptrace_array(
+    matrix: np.ndarray, dims: Sequence[int], keep: Sequence[int], out: np.ndarray | None = None
+) -> np.ndarray:
     """Partial trace of a D x D matrix over the subsystems not in ``keep``,
-    which stay in their original order: one transpose to (kept, traced)
-    order and one ``np.trace``."""
-    n = len(dims)
-    order = sorted(keep) + [i for i in range(n) if i not in keep]
-    Dk = math.prod(dims[i] for i in keep)
-    T = matrix.reshape(tuple(dims) * 2).transpose(order + [n + i for i in order])
-    return T.reshape(Dk, len(matrix) // Dk, Dk, -1).trace(0, 1, 3)
+    which stay in their original order, by one ``einsum`` over a view of it.
+    Given ``out``, a Dk x Dk array or view (say a corner of a larger stack),
+    the result is written there, and ``out`` is returned."""
+    n, keep = len(dims), sorted(keep)
+    kept = [dims[i] for i in keep]
+    out = np.empty((math.prod(kept),) * 2, matrix.dtype) if out is None else out
+    columns = [n + i if i in keep else i for i in range(n)]  # a traced one repeats its row
+    tensor = matrix.reshape(tuple(dims) * 2)
+    np.einsum(tensor, [*range(n), *columns], keep + [n + i for i in keep], out=out.reshape(kept * 2))
+    return out
 
 
 def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:

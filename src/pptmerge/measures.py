@@ -23,6 +23,7 @@ from .core import (
     _check_cut,
     _check_kind,
     _check_tol,
+    _ptrace_array,
     partial_transpose,
 )
 
@@ -74,20 +75,15 @@ def _entropies(*spectra: np.ndarray) -> list[float]:
 
 def _marginal_spectra(rho: DensityMatrix, *keeps: Sequence[int]) -> np.ndarray:
     """Spectra of the marginals on each of ``keeps``, as rows, from one
-    ``eigvalsh`` call.  Each marginal is written by one ``einsum`` from a
-    view of rho straight into the top-left corner of its row of a
-    zero-filled stack as large as the largest of them, so the padding adds
-    exact zeros to its spectrum.  Nothing is validated: the marginal of a
-    valid state is valid, and validating costs an extra spectrum."""
-    dims, n = rho.dims, len(rho.dims)
-    keeps = [sorted(keep) for keep in keeps]
-    sizes = [math.prod(dims[i] for i in keep) for keep in keeps]
+    ``eigvalsh`` call.  ``core._ptrace_array`` writes each marginal straight
+    into the top-left corner of its row of a zero-filled stack as large as
+    the largest of them, so the padding adds exact zeros to its spectrum.
+    Nothing is validated: the marginal of a valid state is valid, and
+    validating costs an extra spectrum."""
+    sizes = [math.prod(rho.dims[i] for i in keep) for keep in keeps]
     stack = np.zeros((len(keeps), max(sizes), max(sizes)), complex)
-    tensor = rho.data.reshape(dims * 2)
     for row, keep, size in zip(stack, keeps, sizes):
-        columns = [n + i if i in keep else i for i in range(n)]
-        marginal = row[:size, :size].reshape([dims[i] for i in keep] * 2)
-        np.einsum(tensor, [*range(n), *columns], keep + [n + i for i in keep], out=marginal)
+        _ptrace_array(rho.data, rho.dims, keep, out=row[:size, :size])
     return np.linalg.eigvalsh(stack)
 
 

@@ -364,8 +364,10 @@ def test_partial_trace_matches_einsum_oracle():
 
 
 def test_ptrace_array_matches_einsum_oracle_on_permuted_layouts():
-    # one transpose to (kept, traced) order and one trace, for every subset
-    # of subsystems kept, named in any order, on unequal dimensions
+    # one einsum over a view, for every subset of subsystems kept, named in
+    # any order, on unequal dimensions; given out=, a corner of a larger
+    # zero-filled stack, it writes there, returns that view and touches
+    # nothing else
     rng = np.random.default_rng(23)
     for dims in [(2, 3), (3, 2, 2), (2, 3, 2), (2, 2, 3, 2)]:
         rho = random_density(rng, dims).data
@@ -376,6 +378,13 @@ def test_ptrace_array_matches_einsum_oracle_on_permuted_layouts():
                 got = core._ptrace_array(rho, dims, named)
                 want = partial_trace_einsum(rho, dims, keep)
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+                size = len(want)
+                stack = np.zeros((2, size + 1, size + 1), complex)
+                corner = stack[1, :size, :size]
+                assert core._ptrace_array(rho, dims, named, out=corner) is corner
+                np.testing.assert_array_equal(corner, got)
+                corner[...] = 0.0
+                assert not stack.any()
 
 
 def test_partial_trace_keep_all_and_errors():
